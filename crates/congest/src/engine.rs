@@ -58,24 +58,12 @@ use crate::message::Payload;
 use crate::metrics::{EngineProfile, RoundStats, StageTimings, Transcript};
 use crate::node::{NodeId, NodeLogic};
 use crate::rng::NodeRng;
+use crate::round::{account, check_node_count, per_node, Outgoing, Rules, Sink};
 use crate::topology::Topology;
 use crate::trace::{Event, EventKind, Recorder};
 use distfl_pool::{ScopeStats, WorkerPool};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// What to do when a node sends two messages over the same directed edge in
-/// one round (a CONGEST violation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DuplicatePolicy {
-    /// Fail the run with [`CongestError::EdgeCongestion`] (the default:
-    /// correct algorithms never violate the discipline).
-    #[default]
-    Reject,
-    /// Deliver everything but record the violation in the transcript's
-    /// `max_messages_per_edge`, so experiments can report it.
-    Record,
-}
 
 /// Default minimum number of messages the previous round must have moved
 /// (delivered + dropped) for the staged parallel pipeline to engage.
@@ -98,8 +86,6 @@ pub const PARALLEL_MIN_VOLUME: u64 = 2_048;
 /// Engine configuration.
 #[derive(Debug, Clone, Default)]
 pub struct CongestConfig {
-    /// Handling of one-message-per-edge violations.
-    pub duplicate_policy: DuplicatePolicy,
     /// Number of worker threads for parallel stepping *and* sharded
     /// delivery; `None` or `Some(1)` runs serially. Results are
     /// bit-identical either way. The effective worker count is capped at
@@ -137,6 +123,13 @@ pub struct CongestConfig {
     /// Whether to record per-message [`Event`]s (slow; for debugging;
     /// forces single-shard delivery so events keep their serial order).
     pub record_events: bool,
+}
+
+impl CongestConfig {
+    /// The rules round `round`'s sends are accounted against.
+    fn rules(&self, round: u32) -> Rules<'_> {
+        Rules { round, fault: self.fault.as_ref(), max_bits: self.max_message_bits }
+    }
 }
 
 /// Per-round context handed to [`NodeLogic::step`].
@@ -238,32 +231,37 @@ struct ShardOutcome {
     error: Option<(u32, usize, CongestError)>,
 }
 
-/// Where per-message trace events go; monomorphized so the disabled case
-/// costs nothing inside the delivery loop.
-trait DeliverySink {
-    fn dropped(&mut self, round: u32, src: NodeId, dst: NodeId);
-    fn delivered(&mut self, round: u32, src: NodeId, dst: NodeId);
+/// The engine's [`Sink`]: survivors go into `inboxes`, the slots of
+/// destinations `lo..`, moved when the outbox is drained and cloned when it
+/// is only borrowed (sharded delivery). With `TRACE` every message is also
+/// recorded into `events`; the flag is a const so the untraced delivery
+/// loop carries no recording code at all.
+struct IntoInboxes<'a, M, const TRACE: bool> {
+    inboxes: &'a mut [Vec<(NodeId, M)>],
+    lo: usize,
+    src: NodeId,
+    round: u32,
+    events: &'a mut Vec<Event>,
 }
 
-/// Sink that records nothing (the fast path).
-struct NoTrace;
-
-impl DeliverySink for NoTrace {
+impl<M, const TRACE: bool> IntoInboxes<'_, M, TRACE> {
     #[inline]
-    fn dropped(&mut self, _round: u32, _src: NodeId, _dst: NodeId) {}
-    #[inline]
-    fn delivered(&mut self, _round: u32, _src: NodeId, _dst: NodeId) {}
-}
-
-/// Sink that appends [`Event`]s to the recorder's buffer.
-struct TraceInto<'a>(&'a mut Vec<Event>);
-
-impl DeliverySink for TraceInto<'_> {
-    fn dropped(&mut self, round: u32, src: NodeId, dst: NodeId) {
-        self.0.push(Event { round, kind: EventKind::Drop, src, dst });
+    fn trace(&mut self, kind: EventKind, dst: NodeId) {
+        if TRACE {
+            self.events.push(Event { round: self.round, kind, src: self.src, dst });
+        }
     }
-    fn delivered(&mut self, round: u32, src: NodeId, dst: NodeId) {
-        self.0.push(Event { round, kind: EventKind::Deliver, src, dst });
+}
+
+impl<M: Clone, const TRACE: bool> Sink<M> for IntoInboxes<'_, M, TRACE> {
+    #[inline]
+    fn dropped(&mut self, _pos: usize, dst: NodeId) {
+        self.trace(EventKind::Drop, dst);
+    }
+    #[inline]
+    fn delivered(&mut self, _pos: usize, dst: NodeId, msg: impl Outgoing<M>, _bits: u64) {
+        self.trace(EventKind::Deliver, dst);
+        self.inboxes[dst.index() - self.lo].push((self.src, msg.into_msg()));
     }
 }
 
@@ -326,26 +324,17 @@ impl<L: NodeLogic> Network<L> {
     /// # Errors
     ///
     /// Returns [`CongestError::NodeCountMismatch`] if `nodes.len()` differs
-    /// from the topology's node count.
+    /// from the topology's node count, and [`CongestError::NodeOutOfRange`]
+    /// if the crash schedule names a node outside the topology.
     pub fn with_config(
         topo: Topology,
         nodes: Vec<L>,
         master_seed: u64,
         config: CongestConfig,
     ) -> Result<Self, CongestError> {
-        if topo.num_nodes() != nodes.len() {
-            return Err(CongestError::NodeCountMismatch {
-                topology: topo.num_nodes(),
-                logics: nodes.len(),
-            });
-        }
+        check_node_count(&topo, nodes.len())?;
         let n = nodes.len();
-        let mut crash_round = vec![u32::MAX; n];
-        for &(id, r) in &config.crashes {
-            if let Some(slot) = crash_round.get_mut(id.index()) {
-                *slot = (*slot).min(r);
-            }
-        }
+        let crash_round = per_node(n, &config.crashes, u32::MAX, u32::min)?;
         let recorder =
             if config.record_events { Recorder::enabled() } else { Recorder::disabled() };
         let pool = config.pool.clone().unwrap_or_else(WorkerPool::global);
@@ -461,9 +450,10 @@ impl<L: NodeLogic> Network<L> {
     /// # Errors
     ///
     /// Returns [`CongestError::NotNeighbor`] if any node addressed a
-    /// non-neighbor, or [`CongestError::EdgeCongestion`] under
-    /// [`DuplicatePolicy::Reject`]. After an error the network's message
-    /// buffers are in an unspecified (but memory-safe) state; discard it.
+    /// non-neighbor, [`CongestError::EdgeCongestion`] if one sent twice
+    /// over an edge, or [`CongestError::MessageTooLarge`] over the
+    /// configured budget. After an error the network's message buffers are
+    /// in an unspecified (but memory-safe) state; discard it.
     pub fn step(&mut self) -> Result<RoundStats, CongestError> {
         let round = self.round;
         let workers = self.worker_count();
@@ -599,61 +589,105 @@ impl<L: NodeLogic> Network<L> {
     /// bit-identical to staged execution.
     fn step_round_fused(&mut self, round: u32) -> Result<RoundStats, CongestError> {
         // The recorder branch is resolved here, once per round; the inner
-        // loops are monomorphized on the sink.
-        if let Recorder::On(events) = &mut self.recorder {
-            fused_round(
+        // loop is monomorphized on it.
+        let mut recorder = std::mem::take(&mut self.recorder);
+        let stats = match &mut recorder {
+            Recorder::On(events) => self.fused_round::<true>(round, events),
+            Recorder::Off => self.fused_round::<false>(round, &mut Vec::new()),
+        };
+        self.recorder = recorder;
+        stats
+    }
+
+    /// One fused round: step a node, deliver its outbox immediately
+    /// (moving messages), repeat in ascending node order.
+    fn fused_round<const TRACE: bool>(
+        &mut self,
+        round: u32,
+        events: &mut Vec<Event>,
+    ) -> Result<RoundStats, CongestError> {
+        let rules = self.config.rules(round);
+        let mut stats = RoundStats { round, ..RoundStats::default() };
+        let mut step_error: Option<CongestError> = None;
+        let mut deliver_error: Option<CongestError> = None;
+        for (index, node) in self.nodes.iter_mut().enumerate() {
+            let mut slot = None;
+            step_into(
                 &self.topo,
-                &mut self.nodes,
-                &self.inboxes,
-                &mut self.next_inboxes,
-                &mut self.outboxes,
-                &self.crash_round,
-                self.master_seed,
+                node,
+                index,
+                &self.inboxes[index],
+                &mut self.outboxes[index],
+                &mut slot,
+                self.crash_round[index] <= round,
                 round,
-                &self.config,
-                &mut TraceInto(events),
-            )
-        } else {
-            fused_round(
-                &self.topo,
-                &mut self.nodes,
-                &self.inboxes,
-                &mut self.next_inboxes,
-                &mut self.outboxes,
-                &self.crash_round,
                 self.master_seed,
-                round,
-                &self.config,
-                &mut NoTrace,
-            )
+            );
+            if let Some(err) = slot {
+                // Keep stepping the remaining nodes (the staged pipeline
+                // steps everyone before failing the round), but deliver
+                // nothing more.
+                step_error.get_or_insert(err);
+                continue;
+            }
+            if step_error.is_some() || deliver_error.is_some() {
+                continue;
+            }
+            let src = NodeId::new(index as u32);
+            let inboxes = &mut self.next_inboxes;
+            let mut sink = IntoInboxes::<_, TRACE> { inboxes, lo: 0, src, round, events };
+            let sends = self.outboxes[index].drain(..);
+            if let Err((_, err)) = account(rules, src, 0, sends, &mut stats, &mut sink) {
+                deliver_error = Some(err);
+            }
         }
+        if let Some(err) = step_error.or(deliver_error) {
+            return Err(err);
+        }
+        debug_assert!(self.next_inboxes.iter().all(|ib| ib.is_sorted_by_key(|(s, _)| *s)));
+        Ok(stats)
     }
 
     /// Stage 1: steps every live node, filling the pooled outboxes (sorted
     /// by destination) and the per-node error slots. Parallel execution
     /// dispatches one task per contiguous node chunk to the worker pool.
     fn step_stage(&mut self, round: u32, workers: usize) -> ScopeStats {
-        let n = self.nodes.len();
         let topo = &self.topo;
         let seed = self.master_seed;
         let crash_round = &self.crash_round;
-        if workers <= 1 {
-            for (index, node) in self.nodes.iter_mut().enumerate() {
+        // Steps the contiguous node chunk starting at id `base`.
+        let step_chunk = move |base: usize,
+                               nodes: &mut [L],
+                               inboxes: &[Vec<(NodeId, L::Msg)>],
+                               outboxes: &mut [Vec<(NodeId, L::Msg)>],
+                               errors: &mut [Option<CongestError>]| {
+            for (offset, node) in nodes.iter_mut().enumerate() {
+                let index = base + offset;
+                let crashed = crash_round[index] <= round;
                 step_into(
                     topo,
                     node,
                     index,
-                    &self.inboxes[index],
-                    &mut self.outboxes[index],
-                    &mut self.step_errors[index],
-                    crash_round[index] <= round,
+                    &inboxes[offset],
+                    &mut outboxes[offset],
+                    &mut errors[offset],
+                    crashed,
                     round,
                     seed,
                 );
             }
+        };
+        if workers <= 1 {
+            step_chunk(
+                0,
+                &mut self.nodes,
+                &self.inboxes,
+                &mut self.outboxes,
+                &mut self.step_errors,
+            );
             return ScopeStats::default();
         }
-        let chunk = n.div_ceil(workers);
+        let chunk = self.nodes.len().div_ceil(workers);
         let node_chunks = self.nodes.chunks_mut(chunk);
         let inbox_chunks = self.inboxes.chunks(chunk);
         let outbox_chunks = self.outboxes.chunks_mut(chunk);
@@ -662,22 +696,8 @@ impl<L: NodeLogic> Network<L> {
             for (chunk_index, (((nodes, inboxes), outboxes), errors)) in
                 node_chunks.zip(inbox_chunks).zip(outbox_chunks).zip(error_chunks).enumerate()
             {
-                let base = chunk_index * chunk;
                 scope.spawn(move || {
-                    for (offset, node) in nodes.iter_mut().enumerate() {
-                        let index = base + offset;
-                        step_into(
-                            topo,
-                            node,
-                            index,
-                            &inboxes[offset],
-                            &mut outboxes[offset],
-                            &mut errors[offset],
-                            crash_round[index] <= round,
-                            round,
-                            seed,
-                        );
-                    }
+                    step_chunk(chunk_index * chunk, nodes, inboxes, outboxes, errors)
                 });
             }
         })
@@ -693,65 +713,34 @@ impl<L: NodeLogic> Network<L> {
         workers: usize,
     ) -> Result<(RoundStats, ScopeStats), CongestError> {
         let n = self.nodes.len();
-        let policy = self.config.duplicate_policy;
-        let fault = self.config.fault;
-        let max_bits = self.config.max_message_bits;
+        let rules = self.config.rules(round);
         let outboxes = &self.outboxes;
 
         // Recording forces a single shard so events keep serial order; the
         // recorder branch is taken once per round, not per message.
         if let Recorder::On(events) = &mut self.recorder {
-            let outcome = deliver_shard(
-                outboxes,
-                &mut self.next_inboxes,
-                0,
-                round,
-                policy,
-                fault.as_ref(),
-                max_bits,
-                &mut TraceInto(events),
-            );
+            let outcome =
+                deliver_shard::<_, true>(outboxes, &mut self.next_inboxes, 0, rules, events);
             let stats = merge_outcomes(std::iter::once(outcome), round)?;
             return Ok((stats, ScopeStats::default()));
         }
 
         let chunk = n.div_ceil(shards.min(n).max(1));
+        let deliver = |shard: usize, inbox_chunk: &mut [Vec<(NodeId, L::Msg)>]| {
+            deliver_shard::<_, false>(outboxes, inbox_chunk, shard * chunk, rules, &mut Vec::new())
+        };
         if workers <= 1 {
             // A single lane pays nothing for dispatch: run the shards
             // inline. Same shard partition, same merge, no pool.
-            let outcomes =
-                self.next_inboxes.chunks_mut(chunk).enumerate().map(|(shard, inbox_chunk)| {
-                    deliver_shard(
-                        outboxes,
-                        inbox_chunk,
-                        shard * chunk,
-                        round,
-                        policy,
-                        fault.as_ref(),
-                        max_bits,
-                        &mut NoTrace,
-                    )
-                });
-            let stats = merge_outcomes(outcomes, round)?;
+            let outcomes = self.next_inboxes.chunks_mut(chunk).enumerate();
+            let stats = merge_outcomes(outcomes.map(|(shard, c)| deliver(shard, c)), round)?;
             return Ok((stats, ScopeStats::default()));
         }
 
         // One pool task per shard; every task writes its own pre-assigned
         // slot, so the merge below visits outcomes in shard order no
         // matter which worker ran (or stole) which shard.
-        let (outcomes, scope_stats) =
-            self.pool.map_chunks(&mut self.next_inboxes, chunk, |shard, inbox_chunk| {
-                deliver_shard(
-                    outboxes,
-                    inbox_chunk,
-                    shard * chunk,
-                    round,
-                    policy,
-                    fault.as_ref(),
-                    max_bits,
-                    &mut NoTrace,
-                )
-            });
+        let (outcomes, scope_stats) = self.pool.map_chunks(&mut self.next_inboxes, chunk, deliver);
         let stats = merge_outcomes(outcomes.into_iter(), round)?;
         Ok((stats, scope_stats))
     }
@@ -768,105 +757,32 @@ impl<L: NodeLogic> Network<L> {
     /// [`CongestError::RoundLimit`] if the protocol does not terminate in
     /// `max_rounds` rounds.
     pub fn run(&mut self, max_rounds: u32) -> Result<&Transcript, CongestError> {
+        self.run_with(max_rounds, |_| {})
+    }
+
+    /// [`Network::run`] with an observer called with each round number
+    /// just before that round executes, for example to open a trace span
+    /// per protocol phase. The observer only watches: the rounds executed
+    /// and the transcript are exactly those of [`Network::run`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Network::run`].
+    pub fn run_with(
+        &mut self,
+        max_rounds: u32,
+        mut on_round: impl FnMut(u32),
+    ) -> Result<&Transcript, CongestError> {
         while !self.all_done() {
             if self.round >= max_rounds {
                 let pending = self.nodes.iter().filter(|l| !l.is_done()).count();
                 return Err(CongestError::RoundLimit { limit: max_rounds, pending });
             }
+            on_round(self.round);
             self.step()?;
         }
         Ok(&self.transcript)
     }
-}
-
-/// One fused round: step node, deliver its outbox immediately (moving
-/// messages), repeat in ascending node order. See
-/// [`Network::step_round_fused`] for the equivalence argument.
-#[allow(clippy::too_many_arguments)]
-fn fused_round<L: NodeLogic>(
-    topo: &Topology,
-    nodes: &mut [L],
-    inboxes: &[Vec<(NodeId, L::Msg)>],
-    next_inboxes: &mut [Vec<(NodeId, L::Msg)>],
-    outboxes: &mut [Vec<(NodeId, L::Msg)>],
-    crash_round: &[u32],
-    master_seed: u64,
-    round: u32,
-    config: &CongestConfig,
-    sink: &mut impl DeliverySink,
-) -> Result<RoundStats, CongestError> {
-    let policy = config.duplicate_policy;
-    let fault = config.fault.as_ref();
-    let max_bits = config.max_message_bits;
-    let mut stats = RoundStats { round, ..RoundStats::default() };
-    let mut step_error: Option<CongestError> = None;
-    let mut deliver_error: Option<CongestError> = None;
-
-    for (index, node) in nodes.iter_mut().enumerate() {
-        let mut slot = None;
-        step_into(
-            topo,
-            node,
-            index,
-            &inboxes[index],
-            &mut outboxes[index],
-            &mut slot,
-            crash_round[index] <= round,
-            round,
-            master_seed,
-        );
-        if let Some(err) = slot {
-            // Keep stepping the remaining nodes (the staged pipeline steps
-            // everyone before failing the round), but deliver nothing more.
-            step_error.get_or_insert(err);
-            continue;
-        }
-        if step_error.is_some() || deliver_error.is_some() {
-            continue;
-        }
-        let src = NodeId::new(index as u32);
-        let mut run_dst: Option<NodeId> = None;
-        let mut run_len: u64 = 0;
-        for (dst, msg) in outboxes[index].drain(..) {
-            if run_dst == Some(dst) {
-                run_len += 1;
-            } else {
-                run_dst = Some(dst);
-                run_len = 1;
-            }
-            if run_len > 1 && policy == DuplicatePolicy::Reject {
-                deliver_error = Some(CongestError::EdgeCongestion { from: src, to: dst, round });
-                break;
-            }
-            stats.max_messages_per_edge = stats.max_messages_per_edge.max(run_len);
-            if fault.is_some_and(|f| f.drops(round, src, dst)) {
-                stats.dropped += 1;
-                sink.dropped(round, src, dst);
-                continue;
-            }
-            let bits = msg.size_bits();
-            if let Some(limit) = max_bits {
-                if bits > limit {
-                    deliver_error =
-                        Some(CongestError::MessageTooLarge { from: src, to: dst, bits, limit });
-                    break;
-                }
-            }
-            stats.messages += 1;
-            stats.bits += bits;
-            stats.max_message_bits = stats.max_message_bits.max(bits);
-            sink.delivered(round, src, dst);
-            next_inboxes[dst.index()].push((src, msg));
-        }
-    }
-    if let Some(err) = step_error {
-        return Err(err);
-    }
-    if let Some(err) = deliver_error {
-        return Err(err);
-    }
-    debug_assert!(next_inboxes.iter().all(|ib| ib.is_sorted_by_key(|(s, _)| *s)));
-    Ok(stats)
 }
 
 /// Cached handles into the obs metrics registry; looked up once per
@@ -937,26 +853,20 @@ pub(crate) fn step_into<L: NodeLogic>(
 /// Delivers all messages addressed to ids `[lo, lo + inbox_chunk.len())`,
 /// scanning every outbox in ascending source order.
 ///
-/// Accounting (duplicate runs, fault drops, size budget) replicates the
-/// serial scan exactly: every `(src, dst)` pair lands in exactly one shard
-/// and outboxes are sorted by destination, so duplicate runs never
-/// straddle shard boundaries, and the first error in `(src, position)`
-/// order within a shard is that shard's minimum.
-#[allow(clippy::too_many_arguments)]
-fn deliver_shard<M: Payload>(
+/// Accounting replicates the serial scan exactly: every `(src, dst)` pair
+/// lands in exactly one shard and outboxes are sorted by destination, so a
+/// duplicate send never straddles shard boundaries, and the first error in
+/// `(src, position)` order within a shard is that shard's minimum.
+fn deliver_shard<M: Payload, const TRACE: bool>(
     outboxes: &[Vec<(NodeId, M)>],
     inbox_chunk: &mut [Vec<(NodeId, M)>],
     lo: usize,
-    round: u32,
-    policy: DuplicatePolicy,
-    fault: Option<&FaultPlan>,
-    max_bits: Option<u64>,
-    sink: &mut impl DeliverySink,
+    rules: Rules<'_>,
+    events: &mut Vec<Event>,
 ) -> ShardOutcome {
     let hi = lo + inbox_chunk.len();
     let covers_tail = hi >= outboxes.len();
     let mut outcome = ShardOutcome::default();
-    let stats = &mut outcome.stats;
     for (src_index, outbox) in outboxes.iter().enumerate() {
         if outbox.is_empty() {
             continue;
@@ -970,46 +880,12 @@ fn deliver_shard<M: Payload>(
         } else {
             start + outbox[start..].partition_point(|(dst, _)| dst.index() < hi)
         };
-        let mut run_dst: Option<NodeId> = None;
-        let mut run_len: u64 = 0;
-        for (pos, (dst, msg)) in outbox[..end].iter().enumerate().skip(start) {
-            let dst = *dst;
-            if run_dst == Some(dst) {
-                run_len += 1;
-            } else {
-                run_dst = Some(dst);
-                run_len = 1;
-            }
-            if run_len > 1 && policy == DuplicatePolicy::Reject {
-                outcome.error = Some((
-                    src.raw(),
-                    pos,
-                    CongestError::EdgeCongestion { from: src, to: dst, round },
-                ));
-                return outcome;
-            }
-            stats.max_messages_per_edge = stats.max_messages_per_edge.max(run_len);
-            if fault.is_some_and(|f| f.drops(round, src, dst)) {
-                stats.dropped += 1;
-                sink.dropped(round, src, dst);
-                continue;
-            }
-            let bits = msg.size_bits();
-            if let Some(limit) = max_bits {
-                if bits > limit {
-                    outcome.error = Some((
-                        src.raw(),
-                        pos,
-                        CongestError::MessageTooLarge { from: src, to: dst, bits, limit },
-                    ));
-                    return outcome;
-                }
-            }
-            stats.messages += 1;
-            stats.bits += bits;
-            stats.max_message_bits = stats.max_message_bits.max(bits);
-            sink.delivered(round, src, dst);
-            inbox_chunk[dst.index() - lo].push((src, msg.clone()));
+        let sends = outbox[start..end].iter().map(|(dst, msg)| (*dst, msg));
+        let (round, inboxes, events) = (rules.round, &mut *inbox_chunk, &mut *events);
+        let mut sink = IntoInboxes::<_, TRACE> { inboxes, lo, src, round, events };
+        if let Err((pos, err)) = account(rules, src, start, sends, &mut outcome.stats, &mut sink) {
+            outcome.error = Some((src.raw(), pos, err));
+            return outcome;
         }
     }
     debug_assert!(inbox_chunk.iter().all(|ib| ib.is_sorted_by_key(|(s, _)| *s)));
@@ -1312,17 +1188,9 @@ mod tests {
             }
         }
         let topo = Topology::ring(3).unwrap();
-        let mk = || vec![Dup { done: false }, Dup { done: false }, Dup { done: false }];
-        let mut net = Network::new(topo.clone(), mk(), 0).unwrap();
+        let nodes = vec![Dup { done: false }, Dup { done: false }, Dup { done: false }];
+        let mut net = Network::new(topo, nodes, 0).unwrap();
         assert!(matches!(net.step(), Err(CongestError::EdgeCongestion { .. })));
-
-        // Record policy delivers and reports the violation instead.
-        let config =
-            CongestConfig { duplicate_policy: DuplicatePolicy::Record, ..CongestConfig::default() };
-        let mut net = Network::with_config(topo, mk(), 0, config).unwrap();
-        let stats = net.step().unwrap();
-        assert_eq!(stats.max_messages_per_edge, 2);
-        assert_eq!(stats.messages, 6);
     }
 
     /// Two distinct nodes violate the discipline toward destinations in

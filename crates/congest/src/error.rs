@@ -34,8 +34,7 @@ pub enum CongestError {
         /// Intended (non-adjacent) recipient.
         to: NodeId,
     },
-    /// A node sent more than one message over the same edge in one round
-    /// while [`crate::DuplicatePolicy::Reject`] was in force.
+    /// A node sent more than one message over the same edge in one round.
     EdgeCongestion {
         /// Sender.
         from: NodeId,
@@ -73,6 +72,12 @@ pub enum CongestError {
     /// A topology constructor was given parameters that make no graph
     /// (for example a ring on fewer than three nodes).
     InvalidTopology {
+        /// Human-readable reason.
+        reason: String,
+    },
+    /// A configuration value is out of range (for example an empty uniform
+    /// latency interval or a probability outside `[0, 1]`).
+    InvalidConfig {
         /// Human-readable reason.
         reason: String,
     },
@@ -122,6 +127,7 @@ impl fmt::Display for CongestError {
             CongestError::InvalidTopology { reason } => {
                 write!(f, "invalid topology: {reason}")
             }
+            CongestError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             CongestError::ProtocolIncomplete { what } => {
                 write!(f, "protocol terminated without its result: {what}")
             }
@@ -152,6 +158,7 @@ mod tests {
             CongestError::RoundLimit { limit: 10, pending: 4 },
             CongestError::NodeCountMismatch { topology: 5, logics: 4 },
             CongestError::InvalidTopology { reason: "empty".into() },
+            CongestError::InvalidConfig { reason: "lo > hi".into() },
             CongestError::ProtocolIncomplete { what: "bfs aggregate" },
         ];
         for e in errs {

@@ -17,10 +17,10 @@
 //!    constant number of machine words).
 //!
 //! The simulator *enforces and measures* this discipline: it counts rounds,
-//! messages, and message bits; it rejects sends to non-neighbors; and it can
-//! either reject or merely record violations of the one-message-per-edge
-//! rule. Results are bit-for-bit deterministic for a given master seed,
-//! whether execution is serial or parallel.
+//! messages, and message bits; it rejects sends to non-neighbors and second
+//! messages over one edge in one round. Results are bit-for-bit
+//! deterministic for a given master seed, whether execution is serial or
+//! parallel.
 //!
 //! ## Quick example
 //!
@@ -71,12 +71,13 @@ mod message;
 mod metrics;
 mod node;
 mod rng;
+mod round;
 pub mod sim;
 mod synchronizer;
 mod topology;
 mod trace;
 
-pub use engine::{CongestConfig, DuplicatePolicy, Network, StepCtx, PARALLEL_MIN_VOLUME};
+pub use engine::{CongestConfig, Network, StepCtx, PARALLEL_MIN_VOLUME};
 pub use error::CongestError;
 pub use fault::{decode_accusation, encode_accusation, FaultPlan, FaultVerdict};
 pub use message::Payload;

@@ -42,13 +42,13 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::engine::{step_into, DuplicatePolicy};
+use crate::engine::step_into;
 use crate::error::CongestError;
 use crate::fault::{encode_accusation, FaultPlan, FaultVerdict};
-use crate::message::Payload;
 use crate::metrics::{RoundStats, Transcript};
 use crate::node::{NodeId, NodeLogic};
 use crate::rng::NodeRng;
+use crate::round::{account, check_node_count, per_node, Outgoing, Rules, Sink};
 use crate::synchronizer::{Envelope, SyncState};
 use crate::topology::Topology;
 use crate::trace::{Event, EventKind, Recorder};
@@ -83,27 +83,27 @@ pub enum LatencyModel {
 impl LatencyModel {
     /// Validates the model's parameters.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the parameters are out of range (empty uniform interval,
-    /// non-positive median, non-finite or negative sigma).
-    fn validate(&self) {
-        match *self {
-            LatencyModel::Constant(_) => {}
-            LatencyModel::Uniform { lo, hi } => {
-                assert!(lo <= hi, "uniform latency needs lo <= hi, got [{lo}, {hi}]");
+    /// [`CongestError::InvalidConfig`] for an empty uniform interval, a
+    /// non-positive or non-finite median, or a non-finite or negative
+    /// sigma.
+    fn validate(&self) -> Result<(), CongestError> {
+        let reason = match *self {
+            LatencyModel::Uniform { lo, hi } if lo > hi => {
+                format!("uniform latency needs lo <= hi, got [{lo}, {hi}]")
             }
-            LatencyModel::LogNormal { median_nanos, sigma } => {
-                assert!(
-                    median_nanos.is_finite() && median_nanos > 0.0,
-                    "lognormal median must be positive and finite, got {median_nanos}"
-                );
-                assert!(
-                    sigma.is_finite() && sigma >= 0.0,
-                    "lognormal sigma must be finite and non-negative, got {sigma}"
-                );
+            LatencyModel::LogNormal { median_nanos, .. }
+                if !(median_nanos.is_finite() && median_nanos > 0.0) =>
+            {
+                format!("lognormal median must be positive and finite, got {median_nanos}")
             }
-        }
+            LatencyModel::LogNormal { sigma, .. } if !(sigma.is_finite() && sigma >= 0.0) => {
+                format!("lognormal sigma must be finite and non-negative, got {sigma}")
+            }
+            _ => return Ok(()),
+        };
+        Err(CongestError::InvalidConfig { reason })
     }
 
     /// Draws one latency in nanoseconds.
@@ -170,8 +170,6 @@ pub struct SimConfig {
     pub bandwidth_bits_per_us: Option<u64>,
     /// Partition schedule (see [`PartitionWindow`]).
     pub partitions: Vec<PartitionWindow>,
-    /// Handling of one-message-per-edge violations, as in the engine.
-    pub duplicate_policy: DuplicatePolicy,
     /// Deterministic message-drop plan, identical semantics (and identical
     /// drop decisions) to [`CongestConfig::fault`](crate::CongestConfig).
     pub fault: Option<FaultPlan>,
@@ -203,7 +201,6 @@ impl Default for SimConfig {
             compute_nanos: 1_000,
             bandwidth_bits_per_us: None,
             partitions: Vec::new(),
-            duplicate_policy: DuplicatePolicy::default(),
             fault: None,
             lossy_nodes: Vec::new(),
             crashes: Vec::new(),
@@ -212,6 +209,30 @@ impl Default for SimConfig {
             drop_threshold: 0.05,
         }
     }
+}
+
+impl SimConfig {
+    /// The rules round `round`'s sends are accounted against, as in the
+    /// engine.
+    fn rules(&self, round: u32) -> Rules<'_> {
+        Rules { round, fault: self.fault.as_ref(), max_bits: self.max_message_bits }
+    }
+}
+
+/// Checks that `value` (named `what` in the error) is a probability.
+fn check_unit(what: &str, value: f64) -> Result<(), CongestError> {
+    if value.is_finite() && (0.0..=1.0).contains(&value) {
+        Ok(())
+    } else {
+        Err(CongestError::InvalidConfig {
+            reason: format!("{what} must be in [0, 1], got {value}"),
+        })
+    }
+}
+
+/// The key of the directed edge `src → dst` for its per-round RNG streams.
+fn edge_key(src: NodeId, dst: NodeId) -> u64 {
+    (u64::from(src.raw()) << 32) | u64::from(dst.raw())
 }
 
 /// Virtual-clock measurements of one simulated run. Everything here is
@@ -276,6 +297,46 @@ enum RunOutcome {
     Failed(CongestError),
 }
 
+/// The simulator's [`Sink`]: collects each accounted send for its edge's
+/// envelope, draws the lossy-sender losses, and records events with their
+/// engine-order key.
+struct Envelopes<'a, M> {
+    src: NodeId,
+    round: u32,
+    /// The sender's [`SimConfig::lossy_nodes`] probability.
+    loss: f64,
+    loss_seed: u64,
+    sent: &'a mut Vec<(NodeId, Option<M>, u64)>,
+    recorded: Option<&'a mut Vec<(u32, u32, usize, Event)>>,
+}
+
+impl<M> Envelopes<'_, M> {
+    fn record(&mut self, pos: usize, kind: EventKind, dst: NodeId) {
+        if let Some(recorded) = &mut self.recorded {
+            let event = Event { round: self.round, kind, src: self.src, dst };
+            recorded.push((self.round, self.src.raw(), pos, event));
+        }
+    }
+}
+
+impl<M: Clone> Sink<M> for Envelopes<'_, M> {
+    /// One draw per edge and round: a second send on the edge fails the
+    /// round before it gets here.
+    fn lost(&mut self, dst: NodeId) -> bool {
+        self.loss > 0.0
+            && NodeRng::derive_keyed(self.loss_seed, edge_key(self.src, dst), self.round)
+                .bernoulli(self.loss)
+    }
+    fn dropped(&mut self, pos: usize, dst: NodeId) {
+        self.record(pos, EventKind::Drop, dst);
+        self.sent.push((dst, None, 0));
+    }
+    fn delivered(&mut self, pos: usize, dst: NodeId, msg: impl Outgoing<M>, bits: u64) {
+        self.record(pos, EventKind::Deliver, dst);
+        self.sent.push((dst, Some(msg.into_msg()), bits));
+    }
+}
+
 /// The discrete-event CONGEST simulator. See the [module docs](self).
 pub struct Simulator<L: NodeLogic> {
     topo: Topology,
@@ -309,6 +370,9 @@ pub struct Simulator<L: NodeLogic> {
     outcome: Option<RunOutcome>,
     scratch_inbox: Vec<(NodeId, L::Msg)>,
     scratch_outbox: Vec<(NodeId, L::Msg)>,
+    /// The accounted sends of the stepping node: `(dst, payload, bits)`,
+    /// the payload `None` when it was dropped.
+    scratch_sent: Vec<(NodeId, Option<L::Msg>, u64)>,
     /// Owned copy of the stepping node's adjacency, so envelope emission
     /// can mutate queue/report state without holding a topology borrow.
     scratch_neighbors: Vec<NodeId>,
@@ -330,48 +394,26 @@ impl<L: NodeLogic> Simulator<L> {
     /// # Errors
     ///
     /// Returns [`CongestError::NodeCountMismatch`] if `nodes.len()`
-    /// differs from the topology's node count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the latency model, a lossy-node probability, or the drop
-    /// threshold is out of range (misconfiguration, like
-    /// [`FaultPlan::drop_with_probability`]).
+    /// differs from the topology's node count,
+    /// [`CongestError::NodeOutOfRange`] if a crash or lossy-node entry
+    /// names a node outside the topology, and
+    /// [`CongestError::InvalidConfig`] if the latency model, a lossy-node
+    /// probability, or the drop threshold is out of range.
     pub fn new(
         topo: Topology,
         nodes: Vec<L>,
         master_seed: u64,
         config: SimConfig,
     ) -> Result<Self, CongestError> {
-        if topo.num_nodes() != nodes.len() {
-            return Err(CongestError::NodeCountMismatch {
-                topology: topo.num_nodes(),
-                logics: nodes.len(),
-            });
+        check_node_count(&topo, nodes.len())?;
+        config.latency.validate()?;
+        check_unit("drop threshold", config.drop_threshold)?;
+        for &(_, p) in &config.lossy_nodes {
+            check_unit("lossy-node probability", p)?;
         }
-        config.latency.validate();
-        assert!(
-            config.drop_threshold.is_finite() && (0.0..=1.0).contains(&config.drop_threshold),
-            "drop threshold must be in [0, 1], got {}",
-            config.drop_threshold
-        );
         let n = nodes.len();
-        let mut crash_round = vec![u32::MAX; n];
-        for &(id, r) in &config.crashes {
-            if let Some(slot) = crash_round.get_mut(id.index()) {
-                *slot = (*slot).min(r);
-            }
-        }
-        let mut loss_prob = vec![0.0; n];
-        for &(id, p) in &config.lossy_nodes {
-            assert!(
-                p.is_finite() && (0.0..=1.0).contains(&p),
-                "lossy-node probability must be in [0, 1], got {p}"
-            );
-            if let Some(slot) = loss_prob.get_mut(id.index()) {
-                *slot = p;
-            }
-        }
+        let crash_round = per_node(n, &config.crashes, u32::MAX, u32::min)?;
+        let loss_prob = per_node(n, &config.lossy_nodes, 0.0, |_, p| p)?;
         let mut config = config;
         // Windows are applied in start order; holding an envelope can push
         // its departure into a later window, never an earlier one.
@@ -403,6 +445,7 @@ impl<L: NodeLogic> Simulator<L> {
             outcome: None,
             scratch_inbox: Vec::new(),
             scratch_outbox: Vec::new(),
+            scratch_sent: Vec::new(),
             scratch_neighbors: Vec::new(),
         })
     }
@@ -444,8 +487,7 @@ impl<L: NodeLogic> Simulator<L> {
     /// # Errors
     ///
     /// Propagates protocol errors ([`CongestError::NotNeighbor`],
-    /// [`CongestError::EdgeCongestion`] under
-    /// [`DuplicatePolicy::Reject`], [`CongestError::MessageTooLarge`])
+    /// [`CongestError::EdgeCongestion`], [`CongestError::MessageTooLarge`])
     /// and returns [`CongestError::RoundLimit`] when some *live* node
     /// (crashed nodes count as done, as in the engine's `all_done`) is
     /// still not done after `max_rounds` rounds. In that case the engine
@@ -515,7 +557,8 @@ impl<L: NodeLogic> Simulator<L> {
             let id = NodeId::new(index as u32);
             if self.nodes[index].is_done() {
                 self.states[index].done = true;
-                self.send_final_pulse(id);
+                // A round-0 final pulse, so its neighbors do not wait on it.
+                self.emit_envelopes(id, 0, 0, true);
             } else if self.crash_round[index] > 0 {
                 self.try_schedule(id, 0);
             }
@@ -648,109 +691,61 @@ impl<L: NodeLogic> Simulator<L> {
         Ok(())
     }
 
-    /// Scans the sorted outbox with the engine's accounting (duplicate
-    /// runs, fault drops, size budget) and emits one envelope per incident
-    /// edge — a pulse where no payloads are addressed.
+    /// Accounts the sorted outbox with the engine's rules, then emits the
+    /// round's envelopes.
     fn send_round(
         &mut self,
         src: NodeId,
         round: u32,
         send_t: u64,
         final_round: bool,
-        outbox: &mut [(NodeId, L::Msg)],
+        outbox: &mut Vec<(NodeId, L::Msg)>,
     ) -> Result<(), CongestError> {
-        let policy = self.config.duplicate_policy;
-        let max_bits = self.config.max_message_bits;
-        let record = self.recorder.is_enabled();
-        let loss = self.loss_prob[src.index()];
-        // Stats accumulate in a local copy (written back below) so the
-        // loop can freely borrow the queue and report.
-        let mut stats = self.rows[round as usize];
+        self.scratch_sent.clear();
+        let mut sink = Envelopes {
+            src,
+            round,
+            loss: self.loss_prob[src.index()],
+            loss_seed: self.config.latency_seed ^ 0x105_5E5,
+            sent: &mut self.scratch_sent,
+            recorded: self.recorder.is_enabled().then_some(&mut self.recorded),
+        };
+        let stats = &mut self.rows[round as usize];
+        account(self.config.rules(round), src, 0, outbox.drain(..), stats, &mut sink)
+            .map_err(|(_, err)| err)?;
+        self.emit_envelopes(src, round, send_t, final_round);
+        Ok(())
+    }
+
+    /// Emits one envelope per incident edge of `src`, in neighbor order:
+    /// the edge's accounted send in `scratch_sent` (its payload or its drop
+    /// record) or else an empty pulse. With nothing accounted, as for a
+    /// node done before its first step, every envelope is a pulse.
+    fn emit_envelopes(&mut self, src: NodeId, round: u32, send_t: u64, final_round: bool) {
+        let mut sent = std::mem::take(&mut self.scratch_sent);
         let mut neighbors = std::mem::take(&mut self.scratch_neighbors);
         neighbors.clear();
         neighbors.extend_from_slice(self.topo.neighbors(src));
-
-        let mut cursor = 0usize;
-        let mut failure = None;
-        'edges: for (j, &dst) in neighbors.iter().enumerate() {
-            let mut payloads = Vec::new();
-            let mut env_dropped = 0u64;
-            let mut run_len = 0u64;
-            let mut bits_total = 0u64;
-            let mut loss_rng = (loss > 0.0).then(|| {
-                let key = (u64::from(src.raw()) << 32) | u64::from(dst.raw());
-                NodeRng::derive_keyed(self.config.latency_seed ^ 0x105_5E5, key, round)
-            });
-            while let Some((d, _)) = outbox.get(cursor) {
-                if *d != dst {
-                    debug_assert!(*d > dst, "outbox sorted by destination");
-                    break;
-                }
-                let pos = cursor;
-                let (_, msg) = &outbox[pos];
-                cursor += 1;
-                run_len += 1;
-                if run_len > 1 && policy == DuplicatePolicy::Reject {
-                    failure = Some(CongestError::EdgeCongestion { from: src, to: dst, round });
-                    break 'edges;
-                }
-                stats.max_messages_per_edge = stats.max_messages_per_edge.max(run_len);
-                let injected = self.config.fault.is_some_and(|f| f.drops(round, src, dst));
-                let lossy = !injected && loss_rng.as_mut().is_some_and(|rng| rng.bernoulli(loss));
-                if injected || lossy {
-                    stats.dropped += 1;
-                    env_dropped += 1;
-                    if record {
-                        self.recorded.push((
-                            round,
-                            src.raw(),
-                            pos,
-                            Event { round, kind: EventKind::Drop, src, dst },
-                        ));
-                    }
-                    continue;
-                }
-                let bits = msg.size_bits();
-                if let Some(limit) = max_bits {
-                    if bits > limit {
-                        failure =
-                            Some(CongestError::MessageTooLarge { from: src, to: dst, bits, limit });
-                        break 'edges;
-                    }
-                }
-                stats.messages += 1;
-                stats.bits += bits;
-                stats.max_message_bits = stats.max_message_bits.max(bits);
-                bits_total += bits;
-                if record {
-                    self.recorded.push((
-                        round,
-                        src.raw(),
-                        pos,
-                        Event { round, kind: EventKind::Deliver, src, dst },
-                    ));
-                }
-                payloads.push(msg.clone());
-            }
-            if payloads.is_empty() && env_dropped == 0 {
+        let mut edges = sent.drain(..).peekable();
+        for (j, &dst) in neighbors.iter().enumerate() {
+            let (payloads, dropped, bits) = match edges.next_if(|&(d, ..)| d == dst) {
+                Some((_, Some(msg), bits)) => (vec![msg], 0, bits),
+                Some((_, None, _)) => (Vec::new(), 1, 0),
+                None => (Vec::new(), 0, 0),
+            };
+            if payloads.is_empty() && dropped == 0 {
                 self.report.pulse_envelopes += 1;
             } else {
                 self.report.protocol_envelopes += 1;
             }
-            let arrival = self.delivery_time(src, j, dst, round, send_t, bits_total);
-            let env = Envelope { src, round, payloads, dropped: env_dropped, final_round };
+            let arrival = self.delivery_time(src, j, dst, round, send_t, bits);
+            let env = Envelope { src, round, payloads, dropped, final_round };
             self.push_event(arrival, Ev::Arrival { dst, env });
         }
-        self.rows[round as usize] = stats;
-        neighbors.clear();
+        debug_assert!(edges.next().is_none(), "every outbox message addresses a neighbor");
+        drop(edges);
+        self.scratch_sent = sent;
         self.scratch_neighbors = neighbors;
-        match failure {
-            Some(err) => Err(err),
-            None => {
-                debug_assert_eq!(cursor, outbox.len(), "every outbox message addresses a neighbor");
-                Ok(())
-            }
-        }
     }
 
     /// When the envelope `src → dst` sent at `send_t` arrives: bandwidth
@@ -778,26 +773,8 @@ impl<L: NodeLogic> Simulator<L> {
                 self.report.partition_holds += 1;
             }
         }
-        let key = (u64::from(src.raw()) << 32) | u64::from(dst.raw());
-        let mut rng = NodeRng::derive_keyed(self.config.latency_seed, key, round);
+        let mut rng = NodeRng::derive_keyed(self.config.latency_seed, edge_key(src, dst), round);
         depart + self.config.latency.sample(&mut rng)
-    }
-
-    /// Emits the round-0 final pulse of a node that was done before ever
-    /// stepping, so its neighbors do not wait on it.
-    fn send_final_pulse(&mut self, src: NodeId) {
-        let mut neighbors = std::mem::take(&mut self.scratch_neighbors);
-        neighbors.clear();
-        neighbors.extend_from_slice(self.topo.neighbors(src));
-        for (j, &dst) in neighbors.iter().enumerate() {
-            self.report.pulse_envelopes += 1;
-            let arrival = self.delivery_time(src, j, dst, 0, 0, 0);
-            let env =
-                Envelope { src, round: 0, payloads: Vec::new(), dropped: 0, final_round: true };
-            self.push_event(arrival, Ev::Arrival { dst, env });
-        }
-        neighbors.clear();
-        self.scratch_neighbors = neighbors;
     }
 
     /// Builds the transcript, replays recorded events in engine order, and
@@ -826,46 +803,38 @@ impl<L: NodeLogic> Simulator<L> {
         }
     }
 
-    /// Per-node fault verdicts from the run's observations: equivocation
-    /// and loss are accumulated receiver-side from envelope framing;
-    /// crashes come from the failure detector (the schedule). The worst
-    /// applicable verdict wins.
+    /// The worst fault that receivers' observations of `node` show:
+    /// `dropped` of the `sent` payloads it addressed to them were lost, on
+    /// top of the crash schedule. Feeds both [`Simulator::verdicts`]
+    /// (counts over every receiver) and [`Simulator::accusations`] (counts
+    /// over one edge).
+    fn verdict(&self, node: NodeId, dropped: u64, sent: u64) -> FaultVerdict {
+        if sent > 0 && dropped > 0 && dropped as f64 / sent as f64 > self.config.drop_threshold {
+            return FaultVerdict::DroppedAboveThreshold { dropped, sent };
+        }
+        let crash = self.crash_round[node.index()];
+        if crash < self.rounds_executed {
+            return FaultVerdict::Crashed { round: crash };
+        }
+        FaultVerdict::Honest
+    }
+
+    /// Per-node fault verdicts from the run's observations: loss is
+    /// accumulated receiver-side from envelope framing; crashes come from
+    /// the failure detector (the schedule). The worst applicable verdict
+    /// wins. The simulator never reports
+    /// [`FaultVerdict::Equivocated`]: a second send over one edge fails
+    /// the run at the sender ([`CongestError::EdgeCongestion`]).
     pub fn verdicts(&self) -> Vec<FaultVerdict> {
-        let n = self.nodes.len();
-        let mut dropped = vec![0u64; n];
-        let mut sent = vec![0u64; n];
-        let mut duplicate: Vec<Option<u32>> = vec![None; n];
+        let mut counts = vec![(0u64, 0u64); self.nodes.len()];
         for (index, state) in self.states.iter().enumerate() {
-            let observer = NodeId::new(index as u32);
-            for (j, &nb) in self.topo.neighbors(observer).iter().enumerate() {
-                dropped[nb.index()] += state.observed_dropped[j];
-                sent[nb.index()] += state.observed_payloads[j];
-                if let Some(r) = state.observed_duplicate[j] {
-                    let slot = &mut duplicate[nb.index()];
-                    *slot = Some(slot.map_or(r, |prev| prev.min(r)));
-                }
+            for (j, &nb) in self.topo.neighbors(NodeId::new(index as u32)).iter().enumerate() {
+                counts[nb.index()].0 += state.observed_dropped[j];
+                counts[nb.index()].1 += state.observed_payloads[j];
             }
         }
-        (0..n)
-            .map(|i| {
-                if let Some(round) = duplicate[i] {
-                    return FaultVerdict::Equivocated { round };
-                }
-                if sent[i] > 0 {
-                    let rate = dropped[i] as f64 / sent[i] as f64;
-                    if dropped[i] > 0 && rate > self.config.drop_threshold {
-                        return FaultVerdict::DroppedAboveThreshold {
-                            dropped: dropped[i],
-                            sent: sent[i],
-                        };
-                    }
-                }
-                if self.crash_round[i] < self.rounds_executed {
-                    return FaultVerdict::Crashed { round: self.crash_round[i] };
-                }
-                FaultVerdict::Honest
-            })
-            .collect()
+        let nodes = (0..).map(NodeId::new);
+        nodes.zip(counts).map(|(node, (dropped, sent))| self.verdict(node, dropped, sent)).collect()
     }
 
     /// Per-node accusations for the audit convergecast: each node reports
@@ -877,25 +846,11 @@ impl<L: NodeLogic> Simulator<L> {
             .iter()
             .enumerate()
             .map(|(index, state)| {
-                let observer = NodeId::new(index as u32);
-                let mut best = 0.0f64;
-                for (j, &nb) in self.topo.neighbors(observer).iter().enumerate() {
-                    let severity = if state.observed_duplicate[j].is_some() {
-                        3
-                    } else if state.observed_payloads[j] > 0
-                        && state.observed_dropped[j] > 0
-                        && state.observed_dropped[j] as f64 / state.observed_payloads[j] as f64
-                            > self.config.drop_threshold
-                    {
-                        2
-                    } else if self.crash_round[nb.index()] < self.rounds_executed {
-                        1
-                    } else {
-                        0
-                    };
-                    best = best.max(encode_accusation(nb, severity));
-                }
-                best
+                let neighbors = self.topo.neighbors(NodeId::new(index as u32));
+                neighbors.iter().enumerate().fold(0.0f64, |best, (j, &nb)| {
+                    let (dropped, sent) = (state.observed_dropped[j], state.observed_payloads[j]);
+                    best.max(encode_accusation(nb, self.verdict(nb, dropped, sent).severity()))
+                })
             })
             .collect()
     }
@@ -906,6 +861,7 @@ mod tests {
     use super::*;
     use crate::engine::{CongestConfig, Network};
     use crate::fault::decode_accusation;
+    use crate::message::Payload;
 
     /// Variable-width payload so bit accounting is non-trivial.
     #[derive(Clone, Debug, PartialEq)]
@@ -948,25 +904,54 @@ mod tests {
         }
     }
 
-    fn engine_run(
+    /// Broadcasts a narrow value for `rounds` rounds, except that node 2
+    /// sends one wide (49-bit) value to its first neighbor in round 1.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Burst {
+        rounds: u32,
+        done: bool,
+    }
+    impl NodeLogic for Burst {
+        type Msg = Num;
+        fn step(&mut self, ctx: &mut crate::engine::StepCtx<'_, Num>) {
+            if ctx.round() >= self.rounds {
+                self.done = true;
+                return;
+            }
+            let first = ctx.neighbors()[0];
+            for &nb in ctx.neighbors() {
+                let wide = ctx.id() == NodeId::new(2) && ctx.round() == 1 && nb == first;
+                ctx.send(nb, Num(if wide { 1 << 40 } else { 1 })).unwrap();
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.done
+        }
+    }
+
+    fn bursts(n: usize, rounds: u32) -> Vec<Burst> {
+        (0..n).map(|_| Burst { rounds, done: false }).collect()
+    }
+
+    fn engine_run<L: NodeLogic + Clone>(
         topo: &Topology,
-        nodes: Vec<Gossip>,
+        nodes: Vec<L>,
         seed: u64,
         config: CongestConfig,
         max_rounds: u32,
-    ) -> (Result<(), CongestError>, Transcript, Vec<Gossip>) {
+    ) -> (Result<(), CongestError>, Transcript, Vec<L>) {
         let mut net = Network::with_config(topo.clone(), nodes, seed, config).unwrap();
         let res = net.run(max_rounds).map(|_| ()).map_err(|e| e.clone());
         (res, net.transcript().clone(), net.nodes().to_vec())
     }
 
-    fn sim_run(
+    fn sim_run<L: NodeLogic>(
         topo: &Topology,
-        nodes: Vec<Gossip>,
+        nodes: Vec<L>,
         seed: u64,
         config: SimConfig,
         max_rounds: u32,
-    ) -> (Result<(), CongestError>, Simulator<Gossip>) {
+    ) -> (Result<(), CongestError>, Simulator<L>) {
         let mut sim = Simulator::new(topo.clone(), nodes, seed, config).unwrap();
         let res = sim.run(max_rounds).map(|_| ()).map_err(|e| e.clone());
         (res, sim)
@@ -1227,11 +1212,117 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "uniform latency needs lo <= hi")]
     fn invalid_uniform_latency_is_rejected() {
         let topo = Topology::ring(3).unwrap();
         let config =
             SimConfig { latency: LatencyModel::Uniform { lo: 5, hi: 4 }, ..SimConfig::default() };
-        let _ = Simulator::new(topo, gossips(3, 3), 0, config);
+        let err = Simulator::new(topo, gossips(3, 3), 0, config).unwrap_err();
+        assert!(
+            matches!(&err, CongestError::InvalidConfig { reason } if reason.contains("lo <= hi")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn out_of_range_sim_configs_are_rejected() {
+        let bad = [
+            SimConfig {
+                latency: LatencyModel::LogNormal { median_nanos: 0.0, sigma: 1.0 },
+                ..SimConfig::default()
+            },
+            SimConfig {
+                latency: LatencyModel::LogNormal { median_nanos: 1e3, sigma: f64::NAN },
+                ..SimConfig::default()
+            },
+            SimConfig { lossy_nodes: vec![(NodeId::new(1), 1.5)], ..SimConfig::default() },
+            SimConfig { drop_threshold: -0.1, ..SimConfig::default() },
+        ];
+        for config in bad {
+            let topo = Topology::ring(3).unwrap();
+            let err = Simulator::new(topo, gossips(3, 3), 0, config.clone()).unwrap_err();
+            assert!(matches!(err, CongestError::InvalidConfig { .. }), "{config:?}: {err}");
+        }
+    }
+
+    /// Both backends build their crash schedule through one routine, so
+    /// both reject an entry naming a node the topology does not have;
+    /// the simulator's lossy-node table goes through it too.
+    #[test]
+    fn schedule_entries_outside_the_topology_are_rejected() {
+        let topo = Topology::ring(3).unwrap();
+        let ghost = NodeId::new(3);
+        let expected = CongestError::NodeOutOfRange { id: ghost, num_nodes: 3 };
+        let config = CongestConfig { crashes: vec![(ghost, 1)], ..CongestConfig::default() };
+        let err = Network::with_config(topo.clone(), gossips(3, 3), 0, config).unwrap_err();
+        assert_eq!(err, expected);
+        let configs = [
+            SimConfig { crashes: vec![(ghost, 1)], ..SimConfig::default() },
+            SimConfig { lossy_nodes: vec![(ghost, 0.5)], ..SimConfig::default() },
+        ];
+        for config in configs {
+            let err = Simulator::new(topo.clone(), gossips(3, 3), 0, config).unwrap_err();
+            assert_eq!(err, expected);
+        }
+    }
+
+    /// The size budget is one shared rule: a budget the wide message fits
+    /// gives the engine's transcript, one it exceeds gives the engine's
+    /// error, whatever the latency.
+    #[test]
+    fn message_budget_matches_engine() {
+        let topo = Topology::ring(5).unwrap();
+        let wide = CongestError::MessageTooLarge {
+            from: NodeId::new(2),
+            to: NodeId::new(1),
+            bits: 49,
+            limit: 32,
+        };
+        for (limit, expected) in [(64, Ok(())), (32, Err(wide))] {
+            let econfig =
+                CongestConfig { max_message_bits: Some(limit), ..CongestConfig::default() };
+            let sconfig = SimConfig {
+                max_message_bits: Some(limit),
+                latency: LatencyModel::Uniform { lo: 1, hi: 900_000 },
+                ..SimConfig::default()
+            };
+            let (eres, etr, enodes) = engine_run(&topo, bursts(5, 4), 3, econfig, 20);
+            let (sres, sim) = sim_run(&topo, bursts(5, 4), 3, sconfig, 20);
+            assert_eq!(eres, expected, "budget {limit}");
+            assert_eq!(sres, expected, "budget {limit}");
+            if expected.is_ok() {
+                assert_eq!(&etr, sim.transcript());
+                assert_eq!(&enodes, sim.nodes());
+                assert_eq!(etr.max_message_bits(), 49);
+            }
+        }
+    }
+
+    /// A lossy sender loses what the fault plan spared, each message
+    /// counted once, and a lost message is never measured against the
+    /// size budget.
+    #[test]
+    fn lossy_sender_drops_after_the_fault_plan_and_before_the_budget() {
+        let topo = Topology::ring(5).unwrap();
+        let plan = FaultPlan::drop_with_probability(0.3, 41);
+        let culprit = NodeId::new(2);
+        let econfig = CongestConfig { fault: Some(plan), ..CongestConfig::default() };
+        let (eres, etr, _) = engine_run(&topo, bursts(5, 4), 3, econfig, 20);
+        assert_eq!(eres, Ok(()));
+        let sconfig = SimConfig {
+            fault: Some(plan),
+            lossy_nodes: vec![(culprit, 1.0)],
+            max_message_bits: Some(32),
+            ..SimConfig::default()
+        };
+        let (sres, sim) = sim_run(&topo, bursts(5, 4), 3, sconfig, 20);
+        assert_eq!(sres, Ok(()), "the wide message is lost before the budget sees it");
+        let spared = (0..4u32)
+            .flat_map(|r| topo.neighbors(culprit).iter().map(move |&nb| (r, nb)))
+            .filter(|&(r, nb)| !plan.drops(r, culprit, nb))
+            .count() as u64;
+        assert!(spared > 0 && spared < 8, "the plan must spare some culprit sends, not all");
+        assert_eq!(sim.transcript().total_dropped(), etr.total_dropped() + spared);
+        assert_eq!(sim.transcript().total_messages(), etr.total_messages() - spared);
+        assert_eq!(sim.transcript().num_rounds(), etr.num_rounds());
     }
 }

@@ -95,9 +95,6 @@ pub(crate) struct SyncState<M> {
     /// attribution.
     pub observed_dropped: Vec<u64>,
     pub observed_payloads: Vec<u64>,
-    /// First round (if any) an incoming edge carried more than one payload
-    /// — a CONGEST duplicate observed by *this* receiver.
-    pub observed_duplicate: Vec<Option<u32>>,
 }
 
 impl<M: Payload> SyncState<M> {
@@ -110,7 +107,6 @@ impl<M: Payload> SyncState<M> {
             bufs: std::collections::BTreeMap::new(),
             observed_dropped: vec![0; degree],
             observed_payloads: vec![0; degree],
-            observed_duplicate: vec![None; degree],
         }
     }
 
@@ -125,10 +121,6 @@ impl<M: Payload> SyncState<M> {
     pub fn receive(&mut self, neighbor_index: usize, degree: usize, env: Envelope<M>) {
         self.observed_dropped[neighbor_index] += env.dropped;
         self.observed_payloads[neighbor_index] += env.payloads.len() as u64 + env.dropped;
-        if env.payloads.len() as u64 + env.dropped > 1 {
-            let first = &mut self.observed_duplicate[neighbor_index];
-            *first = Some(first.map_or(env.round, |r| r.min(env.round)));
-        }
         if env.final_round {
             self.silence(neighbor_index, env.round + 1);
         }

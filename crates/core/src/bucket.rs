@@ -25,11 +25,11 @@
 //! Rounds: `2·s_out·s_in + 5`, independent of the input size.
 
 use distfl_congest::{CongestConfig, Network, NodeId, NodeLogic, Payload, StepCtx};
-use distfl_instance::{ClientId, FacilityId, Instance, Solution};
+use distfl_instance::{ClientId, FacilityId, Instance};
 use distfl_lp::DualSolution;
 
 use crate::error::CoreError;
-use crate::model::{client_node, facility_node, node_role, topology_of, Role};
+use crate::model::{client_node, facility_node, harvest_solution, topology_of};
 use crate::runner::{FlAlgorithm, Outcome};
 use crate::theory::harmonic;
 
@@ -438,18 +438,14 @@ impl FlAlgorithm for GreedyBucket {
         let mut net = Network::with_config(topo, nodes, seed, config)?;
         net.run(bucket_rounds(self.params))?;
 
-        let mut assignment = vec![FacilityId::new(0); instance.num_clients()];
-        let mut ratios = vec![0.0f64; instance.num_clients()];
-        for (index, node) in net.nodes().iter().enumerate() {
-            if let (Role::Client(j), BucketNode::Client(c)) =
-                (node_role(m, NodeId::new(index as u32)), node)
-            {
-                let idx = c.assigned.expect("fallback guarantees assignment");
-                assignment[j.index()] = FacilityId::new(c.links[idx].0.raw());
-                ratios[j.index()] = c.service_ratio;
-            }
-        }
-        let solution = Solution::from_assignment(instance, assignment)?.reassign_greedily(instance);
+        let mut ratios = Vec::with_capacity(instance.num_clients());
+        let missing = "client unassigned after the fallback round";
+        let solution = harvest_solution(instance, net.nodes(), missing, |node| {
+            let BucketNode::Client(c) = node else { unreachable!("node role/state mismatch") };
+            ratios.push(c.service_ratio);
+            c.assigned.map(|idx| FacilityId::new(c.links[idx].0.raw()))
+        })?
+        .reassign_greedily(instance);
         let h = harmonic(instance.num_clients());
         let alpha: Vec<f64> = ratios.iter().map(|r| r / h).collect();
         Ok(Outcome {

@@ -69,11 +69,11 @@
 
 pub mod node;
 
-use distfl_congest::{CongestConfig, Network, NodeRng, SimConfig, Simulator};
+use distfl_congest::{CongestConfig, NodeRng, SimConfig};
 use distfl_instance::{FacilityId, Instance, Solution};
 
 use crate::error::CoreError;
-use crate::model::{facility_node, node_role, topology_of, Role};
+use crate::model::{facility_node, harvest_solution, topology_of, Backend};
 use crate::mp;
 use crate::paydual::SimulatedRun;
 use crate::runner::{FlAlgorithm, Outcome};
@@ -140,28 +140,34 @@ impl MetricBall {
         seed: u64,
         sim: SimConfig,
     ) -> Result<SimulatedRun, CoreError> {
-        let _span = distfl_obs::span_arg("solver", "metricball.sim", u64::from(self.params.phases));
+        self.execute(instance, seed, Backend::Sim(sim))
+    }
+
+    /// The one runner behind [`FlAlgorithm::run`] and
+    /// [`MetricBall::run_simulated`] (and Outliers' core solve).
+    pub(crate) fn execute(
+        &self,
+        instance: &Instance,
+        seed: u64,
+        backend: Backend,
+    ) -> Result<SimulatedRun, CoreError> {
+        let label = match backend {
+            Backend::LockStep(_) => "metricball",
+            Backend::Sim(_) => "metricball.sim",
+        };
+        let _span = distfl_obs::span_arg("solver", label, u64::from(self.params.phases));
         check_phases(self.params.phases)?;
         let topo = topology_of(instance)?;
         let nodes = build_nodes(instance, self.params.phases);
-        let mut simulator = Simulator::new(topo, nodes, seed, sim)?;
-        simulator.run(crate::theory::metricball_rounds(self.params.phases))?;
-        let report = simulator.report().clone();
-        let verdicts = simulator.verdicts();
-        let accusations = simulator.accusations();
-        let solution = harvest(instance, simulator.nodes())?;
-        let (_, transcript) = simulator.into_parts();
-        Ok(SimulatedRun {
-            outcome: Outcome {
-                solution,
-                transcript: Some(transcript),
-                dual: None,
-                modeled_rounds: None,
-            },
-            report,
-            verdicts,
-            accusations,
-        })
+        let rounds = crate::theory::metricball_rounds(self.params.phases);
+        backend.execute(
+            topo,
+            nodes,
+            seed,
+            rounds,
+            |_| {},
+            |nodes| Ok((harvest(instance, nodes)?, None)),
+        )
     }
 }
 
@@ -173,26 +179,13 @@ fn check_phases(phases: u32) -> Result<(), CoreError> {
     }
 }
 
-/// Extracts the solution from final node states — shared by the lock-step
-/// and simulated runners so both produce exactly the same output.
+/// Extracts the solution from final node states.
 fn harvest(instance: &Instance, nodes: &[MetricBallNode]) -> Result<Solution, CoreError> {
-    let m = instance.num_facilities();
-    let mut assignment = vec![FacilityId::new(0); instance.num_clients()];
-    for (index, node) in nodes.iter().enumerate() {
-        match (node_role(m, distfl_congest::NodeId::new(index as u32)), node) {
-            (Role::Client(j), MetricBallNode::Client(c)) => {
-                let facility = c.connected_facility().ok_or(CoreError::Congest(
-                    distfl_congest::CongestError::ProtocolIncomplete {
-                        what: "client holds no connection after the coverage round",
-                    },
-                ))?;
-                assignment[j.index()] = facility;
-            }
-            (Role::Facility(_), MetricBallNode::Facility(_)) => {}
-            _ => unreachable!("node role/state mismatch"),
-        }
-    }
-    Ok(Solution::from_assignment(instance, assignment)?)
+    let missing = "client holds no connection after the coverage round";
+    harvest_solution(instance, nodes, missing, |node| {
+        let MetricBallNode::Client(c) = node else { unreachable!("node role/state mismatch") };
+        c.connected_facility()
+    })
 }
 
 impl FlAlgorithm for MetricBall {
@@ -201,22 +194,8 @@ impl FlAlgorithm for MetricBall {
     }
 
     fn run(&self, instance: &Instance, seed: u64) -> Result<Outcome, CoreError> {
-        let _span = distfl_obs::span_arg("solver", "metricball", u64::from(self.params.phases));
-        check_phases(self.params.phases)?;
-        let topo = topology_of(instance)?;
-        let nodes = build_nodes(instance, self.params.phases);
         let config = CongestConfig { threads: self.params.threads, ..CongestConfig::default() };
-        let mut net = Network::with_config(topo, nodes, seed, config)?;
-        let total_rounds = crate::theory::metricball_rounds(self.params.phases);
-        net.run(total_rounds)?;
-        debug_assert_eq!(net.transcript().num_rounds(), total_rounds);
-        let solution = harvest(instance, net.nodes())?;
-        Ok(Outcome {
-            solution,
-            transcript: Some(net.into_transcript()),
-            dual: None,
-            modeled_rounds: None,
-        })
+        Ok(self.execute(instance, seed, Backend::LockStep(config))?.outcome)
     }
 }
 

@@ -4,9 +4,20 @@
 //! communication edges are exactly the instance's links — the model of the
 //! PODC 2005 paper, where a client can only talk to (and connect to)
 //! facilities it has a link with.
+//!
+//! [`Backend`] is the other half of the model: which scheduler executes
+//! the network, so each distributed solver has one runner for both.
 
-use distfl_congest::{CongestError, NodeId, Topology};
-use distfl_instance::{ClientId, FacilityId, Instance};
+use distfl_congest::{
+    CongestConfig, CongestError, Network, NodeId, NodeLogic, SimConfig, SimReport, Simulator,
+    Topology,
+};
+use distfl_instance::{ClientId, FacilityId, Instance, Solution};
+use distfl_lp::DualSolution;
+
+use crate::error::CoreError;
+use crate::paydual::SimulatedRun;
+use crate::runner::Outcome;
 
 /// The role a CONGEST node plays in the bipartite facility-location
 /// network.
@@ -63,6 +74,72 @@ pub fn topology_of(instance: &Instance) -> Result<Topology, CongestError> {
         })
         .collect::<Vec<_>>();
     Topology::bipartite(m, instance.num_clients(), pairs)
+}
+
+/// The scheduler a distributed solver's network runs on.
+pub(crate) enum Backend {
+    /// The lock-step [`Network`].
+    LockStep(CongestConfig),
+    /// The discrete-event [`Simulator`].
+    Sim(SimConfig),
+}
+
+impl Backend {
+    /// Runs `nodes` over `topo` through a fixed schedule of `rounds`
+    /// rounds, then `harvest`s the solution (and dual, if any) from the
+    /// final node states. `on_round` sees each lock-step round number just
+    /// before the round executes; the simulator has no global round to
+    /// show it. The simulator's report, verdicts and accusations are empty
+    /// on the lock-step backend.
+    pub(crate) fn execute<L: NodeLogic>(
+        self,
+        topo: Topology,
+        nodes: Vec<L>,
+        seed: u64,
+        rounds: u32,
+        on_round: impl FnMut(u32),
+        harvest: impl FnOnce(&[L]) -> Result<(Solution, Option<DualSolution>), CoreError>,
+    ) -> Result<SimulatedRun, CoreError> {
+        let (nodes, transcript, report, verdicts, accusations) = match self {
+            Backend::LockStep(config) => {
+                let mut net = Network::with_config(topo, nodes, seed, config)?;
+                net.run_with(rounds, on_round)?;
+                let (nodes, transcript) = net.into_parts();
+                (nodes, transcript, SimReport::default(), Vec::new(), Vec::new())
+            }
+            Backend::Sim(config) => {
+                let mut sim = Simulator::new(topo, nodes, seed, config)?;
+                sim.run(rounds)?;
+                let (report, verdicts, accusations) =
+                    (sim.report().clone(), sim.verdicts(), sim.accusations());
+                let (nodes, transcript) = sim.into_parts();
+                (nodes, transcript, report, verdicts, accusations)
+            }
+        };
+        debug_assert_eq!(transcript.num_rounds(), rounds);
+        let (solution, dual) = harvest(&nodes)?;
+        let outcome =
+            Outcome { solution, transcript: Some(transcript), dual, modeled_rounds: None };
+        Ok(SimulatedRun { outcome, report, verdicts, accusations })
+    }
+}
+
+/// The solution read off a distributed run's final node states: `client`
+/// maps each client node to the facility it ended connected to; `None`
+/// fails the run with [`CongestError::ProtocolIncomplete`] naming
+/// `missing`.
+pub(crate) fn harvest_solution<L>(
+    instance: &Instance,
+    nodes: &[L],
+    missing: &'static str,
+    client: impl FnMut(&L) -> Option<FacilityId>,
+) -> Result<Solution, CoreError> {
+    let assignment = nodes[instance.num_facilities()..]
+        .iter()
+        .map(client)
+        .map(|facility| facility.ok_or(CongestError::ProtocolIncomplete { what: missing }))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(Solution::from_assignment(instance, assignment)?)
 }
 
 #[cfg(test)]

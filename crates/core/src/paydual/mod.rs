@@ -47,12 +47,12 @@
 
 pub mod node;
 
-use distfl_congest::{CongestConfig, FaultVerdict, Network, SimConfig, SimReport, Simulator};
-use distfl_instance::{FacilityId, Instance, Solution};
+use distfl_congest::{CongestConfig, FaultVerdict, SimConfig, SimReport};
+use distfl_instance::{Instance, Solution};
 use distfl_lp::DualSolution;
 
 use crate::error::CoreError;
-use crate::model::{node_role, topology_of, Role};
+use crate::model::{harvest_solution, topology_of, Backend};
 use crate::runner::{FlAlgorithm, Outcome};
 
 pub use node::{PayDualMsg, PayDualNode};
@@ -165,7 +165,22 @@ impl PayDual {
         seed: u64,
         sim: SimConfig,
     ) -> Result<SimulatedRun, CoreError> {
-        let _span = distfl_obs::span_arg("solver", "paydual.sim", u64::from(self.params.phases));
+        self.execute(instance, seed, Backend::Sim(sim))
+    }
+
+    /// The one runner behind [`FlAlgorithm::run`] and
+    /// [`PayDual::run_simulated`].
+    fn execute(
+        &self,
+        instance: &Instance,
+        seed: u64,
+        backend: Backend,
+    ) -> Result<SimulatedRun, CoreError> {
+        let label = match backend {
+            Backend::LockStep(_) => "paydual",
+            Backend::Sim(_) => "paydual.sim",
+        };
+        let _span = distfl_obs::span_arg("solver", label, u64::from(self.params.phases));
         if self.params.phases == 0 {
             return Err(CoreError::InvalidParams {
                 reason: "paydual needs at least one phase".to_owned(),
@@ -173,24 +188,33 @@ impl PayDual {
         }
         let topo = topology_of(instance)?;
         let nodes = build_nodes(instance, self.params.phases, self.params.connect_rule);
-        let mut simulator = Simulator::new(topo, nodes, seed, sim)?;
-        simulator.run(crate::theory::paydual_rounds(self.params.phases))?;
-        let report = simulator.report().clone();
-        let verdicts = simulator.verdicts();
-        let accusations = simulator.accusations();
-        let (solution, dual) = harvest(instance, simulator.nodes(), self.params.polish)?;
-        let (_, transcript) = simulator.into_parts();
-        Ok(SimulatedRun {
-            outcome: Outcome {
-                solution,
-                transcript: Some(transcript),
-                dual: Some(dual),
-                modeled_rounds: None,
-            },
-            report,
-            verdicts,
-            accusations,
+        let rounds = crate::theory::paydual_rounds(self.params.phases);
+        backend.execute(topo, nodes, seed, rounds, phase_spans(), |nodes| {
+            let (solution, dual) = harvest(instance, nodes, self.params.polish)?;
+            Ok((solution, Some(dual)))
         })
+    }
+}
+
+/// A round observer opening a trace span per PayDual phase: rounds 0–1
+/// are bootstrap/init, then three rounds (offer, open, connect) per
+/// phase. The last span closes when the observer is dropped.
+fn phase_spans() -> impl FnMut(u32) {
+    let mut span = distfl_obs::Span::disabled();
+    let mut current = u32::MAX;
+    move |round| {
+        let phase = if round < 2 { 0 } else { (round - 2) / 3 + 1 };
+        if phase != current {
+            current = phase;
+            // Close the previous phase's span before opening the next so
+            // the intervals do not overlap in the trace.
+            drop(std::mem::replace(&mut span, distfl_obs::Span::disabled()));
+            span = if phase == 0 {
+                distfl_obs::span("solver", "paydual.bootstrap")
+            } else {
+                distfl_obs::span_arg("solver", "paydual.phase", u64::from(phase))
+            };
+        }
     }
 }
 
@@ -202,28 +226,16 @@ fn harvest(
     nodes: &[PayDualNode],
     polish: bool,
 ) -> Result<(Solution, DualSolution), CoreError> {
-    let m = instance.num_facilities();
-    let mut assignment = vec![FacilityId::new(0); instance.num_clients()];
-    let mut alpha = vec![0.0f64; instance.num_clients()];
-    for (index, node) in nodes.iter().enumerate() {
-        match (node_role(m, distfl_congest::NodeId::new(index as u32)), node) {
-            (Role::Client(j), PayDualNode::Client(c)) => {
-                // In the fault-free model every client is connected; under
-                // fault injection recover via the local fallback. Only a
-                // client crashed before bootstrap has neither.
-                let facility = c.connected_facility().or_else(|| c.fallback_facility()).ok_or(
-                    CoreError::Congest(distfl_congest::CongestError::ProtocolIncomplete {
-                        what: "client holds neither a connection nor a fallback facility",
-                    }),
-                )?;
-                assignment[j.index()] = facility;
-                alpha[j.index()] = c.alpha();
-            }
-            (Role::Facility(_), PayDualNode::Facility(_)) => {}
-            _ => unreachable!("node role/state mismatch"),
-        }
-    }
-    let solution = Solution::from_assignment(instance, assignment)?;
+    let mut alpha = Vec::with_capacity(instance.num_clients());
+    // In the fault-free model every client is connected; under fault
+    // injection recover via the local fallback. Only a client crashed
+    // before bootstrap has neither.
+    let missing = "client holds neither a connection nor a fallback facility";
+    let solution = harvest_solution(instance, nodes, missing, |node| {
+        let PayDualNode::Client(c) = node else { unreachable!("node role/state mismatch") };
+        alpha.push(c.alpha());
+        c.connected_facility().or_else(|| c.fallback_facility())
+    })?;
     // Final local polish (free in the model: one more exchange of the
     // already-broadcast OPEN sets): connect each client to its cheapest
     // kept-open facility.
@@ -237,71 +249,13 @@ impl FlAlgorithm for PayDual {
     }
 
     fn run(&self, instance: &Instance, seed: u64) -> Result<Outcome, CoreError> {
-        let _span = distfl_obs::span_arg("solver", "paydual", u64::from(self.params.phases));
-        if self.params.phases == 0 {
-            return Err(CoreError::InvalidParams {
-                reason: "paydual needs at least one phase".to_owned(),
-            });
-        }
-        let topo = topology_of(instance)?;
-        let nodes = build_nodes(instance, self.params.phases, self.params.connect_rule);
         let config = CongestConfig {
             threads: self.params.threads,
             fault: self.params.fault,
             ..CongestConfig::default()
         };
-        let mut net = Network::with_config(topo, nodes, seed, config)?;
-        let total_rounds = crate::theory::paydual_rounds(self.params.phases);
-        if distfl_obs::enabled() {
-            run_traced(&mut net, total_rounds)?;
-        } else {
-            net.run(total_rounds)?;
-        }
-        debug_assert_eq!(net.transcript().num_rounds(), total_rounds);
-
-        let (solution, dual) = harvest(instance, net.nodes(), self.params.polish)?;
-        Ok(Outcome {
-            solution,
-            transcript: Some(net.into_transcript()),
-            dual: Some(dual),
-            modeled_rounds: None,
-        })
+        Ok(self.execute(instance, seed, Backend::LockStep(config))?.outcome)
     }
-}
-
-/// [`Network::run`] with a trace span around each PayDual phase: rounds
-/// 0–1 are bootstrap/init, then three rounds (offer, open, connect) per
-/// phase. Step-for-step identical to `net.run(max_rounds)` — the spans
-/// only observe, they never change when or whether a round executes.
-fn run_traced(
-    net: &mut Network<PayDualNode>,
-    max_rounds: u32,
-) -> Result<(), distfl_congest::CongestError> {
-    use distfl_congest::NodeLogic;
-    let mut phase_span = distfl_obs::Span::disabled();
-    let mut current_phase = u32::MAX;
-    while !net.all_done() {
-        if net.round() >= max_rounds {
-            let pending = net.nodes().iter().filter(|l| !l.is_done()).count();
-            return Err(distfl_congest::CongestError::RoundLimit { limit: max_rounds, pending });
-        }
-        let round = net.round();
-        let phase = if round < 2 { 0 } else { (round - 2) / 3 + 1 };
-        if phase != current_phase {
-            current_phase = phase;
-            // Close the previous phase's span before opening the next so
-            // the intervals do not overlap in the trace.
-            drop(std::mem::replace(&mut phase_span, distfl_obs::Span::disabled()));
-            phase_span = if phase == 0 {
-                distfl_obs::span("solver", "paydual.bootstrap")
-            } else {
-                distfl_obs::span_arg("solver", "paydual.phase", u64::from(phase))
-            };
-        }
-        net.step()?;
-    }
-    drop(phase_span);
-    Ok(())
 }
 
 #[cfg(test)]

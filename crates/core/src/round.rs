@@ -26,7 +26,7 @@ use distfl_instance::{FacilityId, Instance, Solution};
 use distfl_lp::FractionalSolution;
 
 use crate::error::CoreError;
-use crate::model::{client_node, facility_node, node_role, topology_of, Role};
+use crate::model::{facility_node, harvest_solution, topology_of};
 
 /// Parameters for [`distributed_round`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -340,23 +340,14 @@ pub fn distributed_round(
     let mut net = Network::with_config(topo, nodes, seed, config)?;
     net.run(rounding_rounds(params.trials))?;
 
-    let mut assignment = vec![FacilityId::new(0); instance.num_clients()];
-    let mut served_in_trial = vec![None; instance.num_clients()];
-    let mut fallback = 0;
-    for (index, node) in net.nodes().iter().enumerate() {
-        if let (Role::Client(j), RoundNode::Client(c)) =
-            (node_role(m, NodeId::new(index as u32)), node)
-        {
-            let idx = c.assigned.expect("fallback guarantees assignment");
-            assignment[j.index()] = FacilityId::new(c.links[idx].0.raw());
-            served_in_trial[j.index()] = c.served_in_trial;
-            if c.served_in_trial.is_none() {
-                fallback += 1;
-            }
-        }
-    }
-    let solution = Solution::from_assignment(instance, assignment)?;
-    let _ = client_node(m, distfl_instance::ClientId::new(0));
+    let mut served_in_trial = Vec::with_capacity(instance.num_clients());
+    let missing = "client unassigned after the fallback round";
+    let solution = harvest_solution(instance, net.nodes(), missing, |node| {
+        let RoundNode::Client(c) = node else { unreachable!("node role/state mismatch") };
+        served_in_trial.push(c.served_in_trial);
+        c.assigned.map(|idx| FacilityId::new(c.links[idx].0.raw()))
+    })?;
+    let fallback = served_in_trial.iter().filter(|t| t.is_none()).count();
     Ok(DistRoundOutcome {
         solution,
         transcript: net.into_transcript(),

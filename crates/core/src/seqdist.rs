@@ -28,7 +28,7 @@ use distfl_congest::{CongestConfig, Network, NodeId, NodeLogic, Payload, StepCtx
 use distfl_instance::{ClientId, FacilityId, Instance, Solution};
 
 use crate::error::CoreError;
-use crate::model::{client_node, facility_node, node_role, topology_of, Role};
+use crate::model::{client_node, facility_node, harvest_solution, topology_of};
 use crate::runner::{FlAlgorithm, Outcome};
 
 /// Sentinel facility id for "no candidate".
@@ -602,16 +602,11 @@ pub fn run_protocol(instance: &Instance) -> Result<(Solution, Transcript), CoreE
     let limit = (instance.num_clients() as u32 + 2) * (4 * n_total + 8) + 4 * n_total + 16;
     net.run(limit)?;
 
-    let mut assignment = vec![FacilityId::new(0); instance.num_clients()];
-    for (index, node) in net.nodes().iter().enumerate() {
-        if let (Role::Client(j), SeqNode::Client(c)) =
-            (node_role(m, NodeId::new(index as u32)), node)
-        {
-            let idx = c.assigned.expect("greedy serves every client before stopping");
-            assignment[j.index()] = FacilityId::new(c.links[idx].0.raw());
-        }
-    }
-    let solution = Solution::from_assignment(instance, assignment)?;
+    let missing = "client unserved when the greedy stopped";
+    let solution = harvest_solution(instance, net.nodes(), missing, |node| {
+        let SeqNode::Client(c) = node else { unreachable!("node role/state mismatch") };
+        c.assigned.map(|idx| FacilityId::new(c.links[idx].0.raw()))
+    })?;
     Ok((solution, net.into_transcript()))
 }
 
