@@ -18,8 +18,8 @@
 //! Emits a single JSON document (default `BENCH_8.json`). `--smoke` skips
 //! the timing and runs only the equivalence sweep (all three warm solvers
 //! over random delta schedules on a small instance) plus the allocation
-//! budget on the full shape, exiting non-zero on any violation — the
-//! cheap CI gate. `--quick` shrinks repetitions for a fast local run.
+//! budgets — warm greedy on the full shape, warm JV on both shapes —
+//! exiting non-zero on any violation: the cheap CI gate. `--quick` shrinks repetitions for a fast local run.
 //!
 //! Usage: `bench_delta [--smoke] [--quick] [--out PATH]`
 
@@ -44,6 +44,15 @@ const LS_MOVES: u32 = 10_000;
 /// assignment clone — so triple-digit growth means the patch path started
 /// reallocating per row.
 const ALLOC_BUDGET: u64 = 128;
+
+/// Steady-state allocation budget for one warm delta+JV-solve cycle
+/// (apply the delta, run the warm full Jain–Vazirani solve). Only the
+/// returned values allocate — `alpha`, `temp_open`, the assignment and
+/// the solution's lanes — so the count is a constant that must not grow
+/// with the instance or with the ascent's event count; the smoke gate
+/// checks it on two instance sizes. A scratch lane given up per event
+/// shows as hundreds.
+const JV_ALLOC_BUDGET: u64 = 16;
 
 // ---- Counting allocator ----------------------------------------------
 
@@ -228,9 +237,33 @@ fn measure(base: &Instance, churn: f64, reps: usize, seed: u64) -> (Vec<Row>, u6
 
 // ---- Smoke gate -------------------------------------------------------
 
+/// Allocation events of the last of three warm delta+`solve` cycles at 1%
+/// churn on `base`: the steady state, once every scratch lane has grown.
+fn steady_allocs(
+    base: &Instance,
+    mut solve: impl FnMut(&mut WarmCache, &Instance) -> usize,
+) -> u64 {
+    let mut inst = base.clone();
+    let mut warm = WarmCache::new(&inst);
+    let mut rng = StdRng::seed_from_u64(7);
+    let links = ((0.01 * base.num_links() as f64).round() as usize).max(1);
+    let mut steady = 0;
+    for _ in 0..3 {
+        let batch = reprice_batch(&inst, &mut rng, links);
+        let report = inst.apply_delta(&batch).unwrap();
+        let (_, allocs) = count_allocs(|| {
+            warm.apply_delta(&inst, &report);
+            std::hint::black_box(solve(&mut warm, &inst))
+        });
+        steady = allocs;
+    }
+    steady
+}
+
 /// The CI gate: warm == cold over random delta schedules for all three
-/// solvers on a small instance, plus the steady-state allocation budget
-/// on the full capb shape. Prints what failed; returns overall success.
+/// solvers on a small instance, plus the steady-state allocation budgets:
+/// warm greedy on the full capb shape, warm JV on both shapes. Prints
+/// what failed; returns overall success.
 fn smoke() -> bool {
     let mut ok = true;
 
@@ -244,29 +277,31 @@ fn smoke() -> bool {
         }
     }
 
-    // Allocation budget at the headline shape and churn.
+    // Allocation budgets at the headline shape and churn; the JV budget
+    // also holds on the small shape, so it cannot scale with size.
     let base = UniformRandom::new(100, 1000).unwrap().generate(5).unwrap();
-    let mut inst = base.clone();
-    let mut warm = WarmCache::new(&inst);
-    let mut rng = StdRng::seed_from_u64(7);
-    let links = (0.01 * base.num_links() as f64).round() as usize;
-    let mut steady = 0;
-    for _ in 0..3 {
-        let batch = reprice_batch(&inst, &mut rng, links);
-        let report = inst.apply_delta(&batch).unwrap();
-        let (_, allocs) = count_allocs(|| {
-            warm.apply_delta(&inst, &report);
-            std::hint::black_box(warm.solve_greedy(&inst).iterations)
-        });
-        steady = allocs; // keep the last (steady-state) cycle
-    }
+    let steady = steady_allocs(&base, |warm, inst| warm.solve_greedy(inst).iterations as usize);
     eprintln!("steady-state warm greedy cycle: {steady} allocation events (budget {ALLOC_BUDGET})");
     if steady > ALLOC_BUDGET {
         eprintln!("smoke FAILED: allocs per delta {steady} exceeds budget {ALLOC_BUDGET}");
         ok = false;
     }
+    for inst in [&small, &base] {
+        let steady = steady_allocs(inst, |warm, inst| warm.solve_jv(inst).0.num_open());
+        eprintln!(
+            "steady-state warm JV cycle, {}x{}: {steady} allocation events (budget {JV_ALLOC_BUDGET})",
+            inst.num_facilities(),
+            inst.num_clients()
+        );
+        if steady > JV_ALLOC_BUDGET {
+            eprintln!(
+                "smoke FAILED: JV allocs per delta {steady} exceeds budget {JV_ALLOC_BUDGET}"
+            );
+            ok = false;
+        }
+    }
     if ok {
-        eprintln!("bench_delta smoke: warm solves bit-identical, allocation budget holds");
+        eprintln!("bench_delta smoke: warm solves bit-identical, allocation budgets hold");
     }
     ok
 }

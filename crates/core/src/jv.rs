@@ -17,6 +17,9 @@
 //! the contributor sets, and the raw `α` is scaled by the measured
 //! feasibility factor before being used as a bound).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use distfl_instance::{kernels, ClientId, FacilityId, Instance, Solution};
 use distfl_lp::DualSolution;
 
@@ -62,28 +65,26 @@ pub struct DualAscent {
 }
 
 /// The exact facility event threshold, replicating the reference scan
-/// bit-for-bit: the time at which `i` becomes fully paid (`t` itself if it
-/// already is), or `None` if no active client is paying toward it.
+/// bit-for-bit: the time at which a facility of opening cost `f` becomes
+/// fully paid (`t` itself if it already is), or `None` if no active
+/// client is paying toward it.
+///
+/// `tight` yields the costs of the facility's tight links to unconnected
+/// clients (`c <= t`) in ascending client id: the reference filters its
+/// full row down to them ([`active_tight`]), the event-driven ascent walks
+/// the facility's tight row. Both therefore perform the same additions in
+/// the same order.
 fn exact_facility_event(
-    links: &[(u32, f64)],
+    tight: impl Iterator<Item = f64>,
     f: f64,
     t: f64,
     paid0: f64,
-    connected: &[bool],
 ) -> Option<f64> {
     let mut paid = paid0;
     let mut rate = 0u32;
-    // The sum is a serial dependency chain, so the scan stays branchy: a
-    // mostly-untight row costs one predictable compare per link instead
-    // of a latency-bound `+0.0` per link. The row comes from the ascent's
-    // interleaved scratch copy of the facility adjacency (see
-    // `interleave_facility_links`): this gather-free single-stream scan is
-    // the one place the split instance lanes lose to `(id, cost)` pairs.
-    for &(j, c) in links {
-        if !connected[j as usize] && c <= t {
-            paid += t - c;
-            rate += 1;
-        }
+    for c in tight {
+        paid += t - c;
+        rate += 1;
     }
     if paid >= f {
         Some(t)
@@ -94,22 +95,31 @@ fn exact_facility_event(
     }
 }
 
-/// The exact payment toward `i` at time `t`, replicating the reference
-/// open-pass scan bit-for-bit.
-fn exact_paid(links: &[(u32, f64)], t: f64, paid0: f64, connected: &[bool]) -> f64 {
+/// The exact payment toward a facility at time `t`, replicating the
+/// reference open-pass scan bit-for-bit over the same tight link costs as
+/// [`exact_facility_event`].
+fn exact_paid(tight: impl Iterator<Item = f64>, t: f64, paid0: f64) -> f64 {
     let mut paid = paid0;
-    for &(j, c) in links {
-        if !connected[j as usize] && c <= t {
-            paid += t - c;
-        }
+    for c in tight {
+        paid += t - c;
     }
     paid
 }
 
+/// The reference's tight links: a full interleaved facility row filtered
+/// to unconnected clients with `c <= t`, as the costs the exact scans add.
+fn active_tight<'a>(
+    row: &'a [(u32, f64)],
+    t: f64,
+    connected: &'a [bool],
+) -> impl Iterator<Item = f64> + 'a {
+    row.iter().filter(move |&&(j, c)| !connected[j as usize] && c <= t).map(|&(_, c)| c)
+}
+
 /// Flattens the facility adjacency back into interleaved `(client, cost)`
-/// rows, offset-indexed by facility. Both ascent variants scan these rows
-/// in [`exact_facility_event`] / [`exact_paid`], so the fast path and the
-/// reference perform identical operations in identical order.
+/// rows, offset-indexed by facility: the reference filters these rows
+/// through [`active_tight`], the event-driven ascent's tight rows index
+/// into them, so both read identical values in identical order.
 fn interleave_facility_links(instance: &Instance) -> (Vec<u32>, Vec<(u32, f64)>) {
     let mut offs = Vec::with_capacity(instance.num_facilities() + 1);
     let mut rows: Vec<(u32, f64)> = Vec::with_capacity(instance.num_links());
@@ -123,18 +133,21 @@ fn interleave_facility_links(instance: &Instance) -> (Vec<u32>, Vec<(u32, f64)>)
 
 /// Instance-derived read-only lanes for the event-driven ascent: the
 /// per-client cost-sorted adjacency, the interleaved facility rows the
-/// exact scans walk, and the opening-cost lane. Building these is most of
-/// the ascent's setup cost; the warm-start cache keeps them across deltas
-/// and patches only dirty client rows (facility ids inside a client's row
-/// never change under a delta, so surviving rows copy verbatim).
+/// tight rows point into, and the opening-cost lane. Building these is
+/// most of the ascent's setup cost; the warm-start cache keeps them across
+/// deltas and patches only dirty client rows (facility ids inside a
+/// client's row never change under a delta, so surviving rows copy
+/// verbatim).
 pub(crate) struct JvLanes {
     /// Per-client row offsets into `sorted` (`n + 1` entries).
     pub(crate) offs: Vec<u32>,
     /// Per-client links as `(cost, facility)` sorted by `(cost, id)`.
+    /// Interleaved, because the ascent reads them as random-offset
+    /// per-client gathers that want cost and id on one cache line.
     pub(crate) sorted: Vec<(f64, u32)>,
     /// Facility row offsets into `fl_rows` (`m + 1` entries).
     pub(crate) fl_offs: Vec<u32>,
-    /// Interleaved `(client, cost)` facility rows.
+    /// Interleaved `(client, cost)` facility rows, client-id-sorted.
     pub(crate) fl_rows: Vec<(u32, f64)>,
     /// Opening costs as a dense lane.
     pub(crate) f_cost: Vec<f64>,
@@ -173,35 +186,149 @@ impl JvLanes {
     }
 }
 
-/// Reusable mutable state for [`dual_ascent_with`]; reset on entry, so a
-/// warm solve allocates only the returned `alpha`/`temp_open`.
+/// Reusable mutable state for [`dual_ascent_with`] and the phase-2
+/// pruning; reset on entry, so a warm solve allocates only what it
+/// returns (`alpha`, `temp_open`, and for a full solve the assignment and
+/// its [`Solution`]).
 #[derive(Default)]
 pub(crate) struct JvScratch {
     connected: Vec<bool>,
     open: Vec<bool>,
+    /// Payment frozen into each facility by connected clients.
     frozen: Vec<f64>,
+    /// Per-client tightness pointers into `JvLanes::sorted`: links before
+    /// `ptr[j]` are tight (`c <= t`).
     ptr: Vec<u32>,
-    rate: Vec<i64>,
+    /// `Σc` over each facility's tight links to unconnected clients, for
+    /// its linear form `frozen + rate·t − Σc`. Approximate (registration
+    /// order varies) and only ever used to shortlist.
     sum_c: Vec<f64>,
     thr: Vec<f64>,
     candidates: Vec<usize>,
     newly_open: Vec<usize>,
+    /// Client events: a min-heap of `(next link cost, client)` with the
+    /// cost as `f64::to_bits` (order-preserving on the finite,
+    /// non-negative costs). One entry per active client; a client that
+    /// connects leaves its entry behind, dropped when it surfaces.
+    events: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Tight rows: facility `i` owns slots `fl_offs[i]..fl_offs[i + 1]`,
+    /// whose first `tight_len[i]` hold the `fl_rows` positions of its
+    /// tight links to unconnected clients, ascending (= by client id).
+    tight: Vec<u32>,
+    /// Tight-row lengths, which are also the exact payment rates of the
+    /// facility linear forms.
+    tight_len: Vec<u32>,
+    /// Phase 2: client `j` contributes to some chosen facility.
+    claimed: Vec<bool>,
+    /// Phase 2: facility `i` is permanently open.
+    is_chosen: Vec<bool>,
+}
+
+/// Clears `lane` and refills it with `len` copies of `value`, keeping its
+/// allocation.
+fn refill<T: Clone>(lane: &mut Vec<T>, len: usize, value: T) {
+    lane.clear();
+    lane.resize(len, value);
+}
+
+impl JvScratch {
+    /// Readies every ascent lane for a run over `lanes`.
+    fn reset(&mut self, lanes: &JvLanes, n: usize, m: usize) {
+        refill(&mut self.connected, n, false);
+        refill(&mut self.open, m, false);
+        refill(&mut self.frozen, m, 0.0);
+        refill(&mut self.sum_c, m, 0.0);
+        refill(&mut self.thr, m, f64::INFINITY);
+        refill(&mut self.tight_len, m, 0);
+        self.ptr.clear();
+        self.ptr.extend_from_slice(&lanes.offs[..n]);
+        self.candidates.clear();
+        self.candidates.reserve(n);
+        self.events.clear();
+        self.events.reserve(n);
+        // Slots past each row's `tight_len` are never read, so only the
+        // length has to match.
+        self.tight.resize(lanes.fl_rows.len(), 0);
+    }
+
+    /// The costs of facility `i`'s tight links to unconnected clients, in
+    /// ascending client id: the exact scans' input.
+    fn tight_costs<'a>(&'a self, lanes: &'a JvLanes, i: usize) -> impl Iterator<Item = f64> + 'a {
+        let lo = lanes.fl_offs[i] as usize;
+        let row = &lanes.fl_rows[lo..];
+        self.tight[lo..lo + self.tight_len[i] as usize].iter().map(move |&p| row[p as usize].1)
+    }
+
+    /// Advances unconnected client `j`'s pointer past the links tight at
+    /// `t`, then queues it at its next link cost (if any). A passed link
+    /// to an open facility makes `j` a connect candidate; any other joins
+    /// its facility's linear form and tight row.
+    fn advance(&mut self, lanes: &JvLanes, j: usize, t: f64) {
+        let end = lanes.offs[j + 1];
+        let mut p = self.ptr[j];
+        while p < end {
+            let (c, i) = lanes.sorted[p as usize];
+            if c > t {
+                self.events.push(Reverse((c.to_bits(), j as u32)));
+                break;
+            }
+            if self.open[i as usize] {
+                self.candidates.push(j);
+            } else {
+                self.sum_c[i as usize] += c;
+                self.tight_insert(lanes, i as usize, j as u32);
+            }
+            p += 1;
+        }
+        self.ptr[j] = p;
+    }
+
+    /// Inserts client `j`'s link into facility `i`'s tight row, keeping
+    /// the row sorted.
+    fn tight_insert(&mut self, lanes: &JvLanes, i: usize, j: u32) {
+        let lo = lanes.fl_offs[i] as usize;
+        let hi = lanes.fl_offs[i + 1] as usize;
+        let pos = lanes.fl_rows[lo..hi]
+            .binary_search_by_key(&j, |&(jj, _)| jj)
+            .expect("a client's link is in its facility's row") as u32;
+        let len = self.tight_len[i] as usize;
+        let row = &mut self.tight[lo..=lo + len];
+        let at = row[..len].partition_point(|&q| q < pos);
+        row.copy_within(at..len, at + 1);
+        row[at] = pos;
+        self.tight_len[i] += 1;
+    }
+
+    /// Removes connected client `j`'s link from facility `i`'s tight row.
+    fn tight_remove(&mut self, lanes: &JvLanes, i: usize, j: u32) {
+        let lo = lanes.fl_offs[i] as usize;
+        let fl_row = &lanes.fl_rows[lo..];
+        let len = self.tight_len[i] as usize;
+        let row = &mut self.tight[lo..lo + len];
+        let at = row.partition_point(|&q| fl_row[q as usize].0 < j);
+        debug_assert_eq!(fl_row[row[at] as usize].0, j, "tight row holds the connecting client");
+        row.copy_within(at + 1..len, at);
+        self.tight_len[i] -= 1;
+    }
 }
 
 /// Runs the exact continuous dual ascent (phase 1), event-driven.
 ///
 /// Produces bit-identical duals and opening order to
-/// [`dual_ascent_reference`] while avoiding its per-round scan over every
-/// link. Each client keeps its links sorted by cost behind a pointer, so
-/// the next tightness event is an O(1) lookup of an exact input constant.
-/// Each facility keeps an incrementally-maintained *linear form* of its
-/// payment (`frozen + rate·t − Σc` over active tight links) whose O(1)
-/// threshold estimate agrees with the exact scan up to floating-point
-/// noise; the handful of facilities within a generous margin of the
-/// minimum estimate are re-evaluated with the reference's exact
-/// summation (same link order, same operations), so the event time that
-/// wins — and every `α_j`, `frozen` update, and opening decision — is the
-/// exact value the reference computes.
+/// [`dual_ascent_reference`] while avoiding its per-event scan over every
+/// link. Each client keeps its links sorted by cost behind a pointer and
+/// waits in a min-heap keyed by its next link cost, so the next tightness
+/// event is the heap top (an exact input constant) and only the clients
+/// it names are advanced. Each facility keeps an incrementally-maintained
+/// *linear form* of its payment (`frozen + rate·t − Σc` over active tight
+/// links) whose O(1) threshold estimate agrees with the exact scan up to
+/// floating-point noise, plus a *tight row* listing exactly those links
+/// by client id. The handful of facilities within a generous margin of
+/// the minimum estimate are re-evaluated by an exact scan of the tight
+/// row — the reference's summation, same links, same order — so the
+/// event time that wins, and every `α_j`, `frozen` update and opening
+/// decision, is the exact value the reference computes. An event costs
+/// O(log n + m + tight links) instead of O(n + E).
 pub fn dual_ascent(instance: &Instance) -> DualAscent {
     let lanes = JvLanes::build(instance);
     dual_ascent_with(instance, &lanes, &mut JvScratch::default())
@@ -209,6 +336,13 @@ pub fn dual_ascent(instance: &Instance) -> DualAscent {
 
 /// [`dual_ascent`] over prebuilt lanes and caller-owned scratch — the
 /// warm-start entry point. `lanes` must describe `instance` exactly.
+///
+/// Loop invariants at the top of every event: each unconnected client's
+/// pointer sits past exactly its links with `c <= t` and the client has
+/// one heap entry, keyed by the cost under its pointer (none if it has
+/// no untight link left); each unopened facility's tight row and rate
+/// hold exactly its links from those prefixes to unconnected clients; no
+/// unconnected client is tight with an open facility.
 pub(crate) fn dual_ascent_with(
     instance: &Instance,
     lanes: &JvLanes,
@@ -217,130 +351,74 @@ pub(crate) fn dual_ascent_with(
     let _span = distfl_obs::span("solver", "jv.dual_ascent");
     let n = instance.num_clients();
     let m = instance.num_facilities();
+    let s = scratch;
+    s.reset(lanes, n, m);
     let mut alpha = vec![0.0f64; n];
-    let connected = &mut scratch.connected;
-    connected.clear();
-    connected.resize(n, false);
-    let open = &mut scratch.open;
-    open.clear();
-    open.resize(m, false);
-    let frozen = &mut scratch.frozen; // payment frozen from connected clients
-    frozen.clear();
-    frozen.resize(m, 0.0);
-    let mut temp_open = Vec::new();
+    let mut temp_open = Vec::with_capacity(m);
     let mut active = n;
     let mut t = 0.0f64;
-
-    // Per-client links sorted by cost, behind a tightness pointer: links
-    // before `ptr` have become tight (cost <= t) and are registered in the
-    // facility linear forms below. Kept interleaved: the consumers are
-    // random-offset per-client gathers that want cost and id on the same
-    // cache line, not contiguous lane scans.
-    let offs = &lanes.offs;
-    let sorted = &lanes.sorted;
-    let ptr = &mut scratch.ptr;
-    ptr.clear();
-    ptr.extend_from_slice(&offs[..n]);
-
-    // Facility linear forms: payment ≈ frozen + rate·t − sum_c over active
-    // tight links. `rate` is an exact count; `sum_c` is approximate and
-    // only ever used for shortlisting.
-    let rate = &mut scratch.rate;
-    rate.clear();
-    rate.resize(m, 0i64);
-    let sum_c = &mut scratch.sum_c;
-    sum_c.clear();
-    sum_c.resize(m, 0.0);
     let f_cost = &lanes.f_cost;
-    let frow = |i: usize| &lanes.fl_rows[lanes.fl_offs[i] as usize..lanes.fl_offs[i + 1] as usize];
 
-    let candidates = &mut scratch.candidates;
-    candidates.clear();
-    let newly_open = &mut scratch.newly_open;
-    let thr = &mut scratch.thr;
-    thr.clear();
-    thr.resize(m, f64::INFINITY);
-
-    // Advance one client's pointer past links that became tight at time t,
-    // registering them with their facility's linear form; links tight with
-    // an already-open facility make the client a connect candidate.
-    let advance = |j: usize,
-                   t: f64,
-                   ptr: &mut [u32],
-                   rate: &mut [i64],
-                   sum_c: &mut [f64],
-                   open: &[bool],
-                   candidates: &mut Vec<usize>| {
-        let end = offs[j + 1];
-        while ptr[j] < end {
-            let (c, i) = sorted[ptr[j] as usize];
-            if c > t {
-                break;
-            }
-            if open[i as usize] {
-                candidates.push(j);
-            } else {
-                rate[i as usize] += 1;
-                sum_c[i as usize] += c;
-            }
-            ptr[j] += 1;
-        }
-    };
-
-    // Register links that are tight at t = 0 (zero-cost links).
+    // Register links that are tight at t = 0 (zero-cost links) and queue
+    // every client at its first untight link.
     for j in 0..n {
-        advance(j, t, ptr, rate, sum_c, open, candidates);
+        s.advance(lanes, j, t);
     }
 
     while active > 0 {
         // Next event: either a client becomes tight with a facility, or a
-        // facility becomes fully paid. Client events are exact constants;
-        // facility events are shortlisted by linear form, then computed
-        // with the reference's exact scan.
+        // facility becomes fully paid. The client event is the heap top
+        // once entries of connected clients are dropped; facility events
+        // are shortlisted by linear form, then computed exactly over the
+        // tight rows.
         let mut next = f64::INFINITY;
-        for j in 0..n {
-            if !connected[j] && ptr[j] < offs[j + 1] {
-                next = next.min(sorted[ptr[j] as usize].0);
+        while let Some(&Reverse((key, j))) = s.events.peek() {
+            if !s.connected[j as usize] {
+                next = f64::from_bits(key);
+                break;
             }
+            s.events.pop();
         }
         // Linear-form event estimates, gathered into a dense lane so the
         // minimum is one chunked [`kernels::min_argmin`] pass (retired or
         // contributor-free facilities sit at `+inf` and never win).
-        for i in 0..m {
-            thr[i] = if open[i] {
+        for (i, &f) in f_cost.iter().enumerate() {
+            let rate = s.tight_len[i];
+            s.thr[i] = if s.open[i] {
                 f64::INFINITY
             } else {
-                let paid_lin = frozen[i] + rate[i] as f64 * t - sum_c[i];
-                if paid_lin >= f_cost[i] {
+                let paid_lin = s.frozen[i] + f64::from(rate) * t - s.sum_c[i];
+                if paid_lin >= f {
                     t
-                } else if rate[i] > 0 {
-                    t + (f_cost[i] - paid_lin) / rate[i] as f64
+                } else if rate > 0 {
+                    t + (f - paid_lin) / f64::from(rate)
                 } else {
                     f64::INFINITY
                 }
             };
         }
-        let min_lin = kernels::min_argmin(thr).map_or(f64::INFINITY, |(_, v)| v);
+        let min_lin = kernels::min_argmin(&s.thr).map_or(f64::INFINITY, |(_, v)| v);
         if min_lin.is_finite() {
             // The linear forms track the exact scans up to ~1e-12 relative
             // error; a 1e-6-relative margin is orders of magnitude wider,
             // so the facility holding the exact minimum is shortlisted.
             let margin = 1e-6 * (1.0 + min_lin.abs() + t.abs());
-            for i in 0..m {
-                if open[i] {
+            for (i, &f) in f_cost.iter().enumerate() {
+                if s.open[i] {
                     continue;
                 }
-                let paid_lin = frozen[i] + rate[i] as f64 * t - sum_c[i];
-                let thr_lin = if paid_lin >= f_cost[i] - margin {
+                let rate = s.tight_len[i];
+                let paid_lin = s.frozen[i] + f64::from(rate) * t - s.sum_c[i];
+                let thr_lin = if paid_lin >= f - margin {
                     t
-                } else if rate[i] > 0 {
-                    t + (f_cost[i] - paid_lin) / rate[i] as f64
+                } else if rate > 0 {
+                    t + (f - paid_lin) / f64::from(rate)
                 } else {
                     continue;
                 };
                 if thr_lin <= min_lin + margin {
                     if let Some(ev) =
-                        exact_facility_event(frow(i), f_cost[i], t, frozen[i], connected)
+                        exact_facility_event(s.tight_costs(lanes, i), f, t, s.frozen[i])
                     {
                         next = next.min(ev);
                     }
@@ -350,48 +428,45 @@ pub(crate) fn dual_ascent_with(
         debug_assert!(next.is_finite(), "ascent must always have a next event");
         t = next.max(t);
 
-        // Register links that became tight at the new t. Previously untight
-        // links have cost >= t, so they contribute exactly 0 payment right
-        // now — the linear forms stay in sync whether registered before or
-        // after the open pass.
-        for (j, &done) in connected.iter().enumerate() {
-            if !done {
-                advance(j, t, ptr, rate, sum_c, open, candidates);
+        // Advance the clients whose next link became tight at the new t.
+        // Previously untight links have cost >= t, so they contribute
+        // exactly 0 payment right now — the linear forms and tight rows
+        // stay in sync whether registered before or after the open pass.
+        while let Some(&Reverse((key, j))) = s.events.peek() {
+            if f64::from_bits(key) > t {
+                break;
+            }
+            s.events.pop();
+            if !s.connected[j as usize] {
+                s.advance(lanes, j as usize, t);
             }
         }
 
         // Open every facility that is fully paid at time t: shortlist by
-        // linear form, confirm with the reference's exact scan (ascending
-        // id, preserving the reference's opening order).
-        newly_open.clear();
-        for i in 0..m {
-            if open[i] {
+        // linear form, confirm with the exact scan (ascending id,
+        // preserving the reference's opening order).
+        s.newly_open.clear();
+        for (i, &f) in f_cost.iter().enumerate() {
+            if s.open[i] {
                 continue;
             }
-            let paid_lin = frozen[i] + rate[i] as f64 * t - sum_c[i];
-            let margin = 1e-6 * (1.0 + f_cost[i].abs() + paid_lin.abs() + rate[i] as f64 * t.abs());
-            // Deliberately nested rather than `&&`-collapsed: the
-            // collapsed form measures ~13% slower on the whole ascent
-            // (bench_kernels capb row, 44.5ms vs 39.3ms) — the nested
-            // shape keeps the rarely-taken exact scan out of the hot
-            // shortlist branch's layout.
-            #[allow(clippy::collapsible_if)]
-            if paid_lin >= f_cost[i] - margin {
-                if exact_paid(frow(i), t, frozen[i], connected) >= f_cost[i] - 1e-12 {
-                    open[i] = true;
-                    temp_open.push(FacilityId::new(i as u32));
-                    newly_open.push(i);
-                }
+            let rate = f64::from(s.tight_len[i]);
+            let paid_lin = s.frozen[i] + rate * t - s.sum_c[i];
+            let margin = 1e-6 * (1.0 + f.abs() + paid_lin.abs() + rate * t.abs());
+            if paid_lin >= f - margin
+                && exact_paid(s.tight_costs(lanes, i), t, s.frozen[i]) >= f - 1e-12
+            {
+                s.open[i] = true;
+                temp_open.push(FacilityId::new(i as u32));
+                s.newly_open.push(i);
             }
         }
-        // A newly-opened facility's tight active clients connect now; its
-        // linear form is retired.
-        for &i in newly_open.iter() {
-            for (j, c) in instance.facility_links(FacilityId::new(i as u32)).iter() {
-                if !connected[j as usize] && c <= t {
-                    candidates.push(j as usize);
-                }
-            }
+        // A newly-opened facility's tight row names exactly the active
+        // clients that connect now; its linear form and row are retired.
+        for &i in &s.newly_open {
+            let lo = lanes.fl_offs[i] as usize;
+            let row = &s.tight[lo..lo + s.tight_len[i] as usize];
+            s.candidates.extend(row.iter().map(|&p| lanes.fl_rows[lo + p as usize].0 as usize));
         }
 
         // Connect candidate clients tight with an open facility, in
@@ -399,38 +474,37 @@ pub(crate) fn dual_ascent_with(
         // and freeze updates. Candidates are complete: a link tight with an
         // open facility was flagged either when the pointer passed it
         // (facility already open) or when its facility opened (link already
-        // tight) — there is no third way.
-        candidates.sort_unstable();
-        candidates.dedup();
-        for jx in std::mem::take(candidates) {
-            if connected[jx] {
+        // tight) — there is no third way. A client's tight links are its
+        // pointer prefix, so the checks and updates walk only that.
+        s.candidates.sort_unstable();
+        s.candidates.dedup();
+        for k in 0..s.candidates.len() {
+            let jx = s.candidates[k];
+            if s.connected[jx] {
                 continue;
             }
-            let j = ClientId::new(jx as u32);
-            let tight_open =
-                instance.client_links(j).iter().any(|(i, c)| open[i as usize] && c <= t);
-            if tight_open {
-                connected[jx] = true;
+            let tight = &lanes.sorted[lanes.offs[jx] as usize..s.ptr[jx] as usize];
+            if tight.iter().any(|&(_, i)| s.open[i as usize]) {
+                s.connected[jx] = true;
                 alpha[jx] = t;
                 active -= 1;
                 // Freeze this client's contributions into *all* facilities
-                // it is paying (they stop growing).
-                for (i, c) in instance.client_links(j).iter() {
-                    if !open[i as usize] && c < t {
-                        frozen[i as usize] += t - c;
+                // it is paying (they stop growing), and retire its links
+                // from their linear forms and tight rows.
+                for &(c, i) in tight {
+                    let i = i as usize;
+                    if s.open[i] {
+                        continue;
                     }
-                }
-                // Retire the client's tight links from the linear forms.
-                for p in offs[jx]..ptr[jx] {
-                    let (c, i) = sorted[p as usize];
-                    if !open[i as usize] {
-                        rate[i as usize] -= 1;
-                        sum_c[i as usize] -= c;
-                        debug_assert!(rate[i as usize] >= 0, "rate bookkeeping went negative");
+                    if c < t {
+                        s.frozen[i] += t - c;
                     }
+                    s.sum_c[i] -= c;
+                    s.tight_remove(lanes, i, jx as u32);
                 }
             }
         }
+        s.candidates.clear();
     }
 
     DualAscent { alpha, temp_open }
@@ -475,9 +549,8 @@ pub fn dual_ascent_reference(instance: &Instance) -> DualAscent {
                 continue;
             }
             let f = instance.opening_cost(i).value();
-            if let Some(ev) =
-                exact_facility_event(frow(i.index()), f, t, frozen[i.index()], &connected)
-            {
+            let tight = active_tight(frow(i.index()), t, &connected);
+            if let Some(ev) = exact_facility_event(tight, f, t, frozen[i.index()]) {
                 next = next.min(ev);
             }
         }
@@ -490,7 +563,8 @@ pub fn dual_ascent_reference(instance: &Instance) -> DualAscent {
                 continue;
             }
             let f = instance.opening_cost(i).value();
-            if exact_paid(frow(i.index()), t, frozen[i.index()], &connected) >= f - 1e-12 {
+            let tight = active_tight(frow(i.index()), t, &connected);
+            if exact_paid(tight, t, frozen[i.index()]) >= f - 1e-12 {
                 open[i.index()] = true;
                 temp_open.push(i);
             }
@@ -522,25 +596,102 @@ pub fn dual_ascent_reference(instance: &Instance) -> DualAscent {
 
 /// Runs the full Jain–Vazirani algorithm.
 pub fn solve(instance: &Instance) -> (Solution, DualSolution) {
-    let ascent = dual_ascent(instance);
-    prune_and_connect(instance, ascent)
+    let lanes = JvLanes::build(instance);
+    solve_with(instance, &lanes, &mut JvScratch::default())
+}
+
+/// Runs the full Jain–Vazirani algorithm on the retained oracles: the
+/// reference ascent, then the reference pruning. The equivalence tests
+/// pin [`solve`] to it bit for bit.
+pub fn solve_reference(instance: &Instance) -> (Solution, DualSolution) {
+    prune_and_connect_reference(instance, dual_ascent_reference(instance))
 }
 
 /// [`solve`] over a prebuilt warm cache: phase 1 through
-/// [`dual_ascent_with`], then the shared phase-2 pruning.
+/// [`dual_ascent_with`], then the phase-2 pruning on the same scratch.
 pub(crate) fn solve_with(
     instance: &Instance,
     lanes: &JvLanes,
     scratch: &mut JvScratch,
 ) -> (Solution, DualSolution) {
     let ascent = dual_ascent_with(instance, lanes, scratch);
-    prune_and_connect(instance, ascent)
+    prune_and_connect(instance, ascent, scratch)
 }
 
 /// Phase 2: greedy maximal-independent-set pruning of the temporarily
-/// open facilities and nearest-open connection. Pure in `(instance,
-/// ascent)`, so cold and warm solves share it verbatim.
-fn prune_and_connect(instance: &Instance, ascent: DualAscent) -> (Solution, DualSolution) {
+/// open facilities and nearest-open connection, in O(links). Pure in
+/// `(instance, ascent)`, so cold and warm solves share it verbatim, and
+/// decision-for-decision equal to [`prune_and_connect_reference`]: a
+/// facility conflicts with the chosen set iff one of its contributors is
+/// already `claimed` by a chosen facility.
+fn prune_and_connect(
+    instance: &Instance,
+    ascent: DualAscent,
+    scratch: &mut JvScratch,
+) -> (Solution, DualSolution) {
+    let alpha = &ascent.alpha;
+    let claimed = &mut scratch.claimed;
+    refill(claimed, instance.num_clients(), false);
+    let is_chosen = &mut scratch.is_chosen;
+    refill(is_chosen, instance.num_facilities(), false);
+
+    // Contributor sets: beta_ij > 0 iff alpha_j > c_ij (standard
+    // simplification).
+    let contributes = |j: u32, c: f64| alpha[j as usize] > c + 1e-12;
+
+    // Greedy maximal independent set in opening order.
+    for &i in &ascent.temp_open {
+        let row = instance.facility_links(i);
+        if !row.iter().any(|(j, c)| claimed[j as usize] && contributes(j, c)) {
+            is_chosen[i.index()] = true;
+            for (j, c) in row.iter() {
+                if contributes(j, c) {
+                    claimed[j as usize] = true;
+                }
+            }
+        }
+    }
+    debug_assert!(is_chosen.contains(&true), "at least one facility opens");
+
+    let assignment = instance.clients().map(|j| nearest(instance, j, |i| is_chosen[i])).collect();
+    let solution =
+        Solution::from_assignment(instance, assignment).expect("assignment uses existing links");
+    (solution, DualSolution::new(ascent.alpha))
+}
+
+/// Client `j`'s nearest facility among those `chosen` accepts (by raw
+/// index); sparse instances with no chosen neighbour fall back to the
+/// cheapest bundle.
+fn nearest(instance: &Instance, j: ClientId, chosen: impl Fn(usize) -> bool) -> FacilityId {
+    // First-win strict `<` over the id-sorted row = the
+    // `(cost, facility id)`-lexicographic minimum.
+    let mut best: Option<(u32, f64)> = None;
+    for (i, c) in instance.client_links(j).iter() {
+        if chosen(i as usize) && best.is_none_or(|(_, bc)| c < bc) {
+            best = Some((i, c));
+        }
+    }
+    best.map(|(i, _)| FacilityId::new(i)).unwrap_or_else(|| {
+        instance
+            .client_links(j)
+            .iter()
+            .map(|(i, c)| {
+                let i = FacilityId::new(i);
+                (i, c + instance.opening_cost(i).value())
+            })
+            .min_by(|(fa, ca), (fb, cb)| ca.total_cmp(cb).then(fa.cmp(fb)))
+            .map(|(i, _)| i)
+            .expect("instance invariant: every client has a link")
+    })
+}
+
+/// Phase 2 as first written: a quadratic conflict check against every
+/// chosen facility and a `contains` lookup per link. Retained as the
+/// oracle [`prune_and_connect`] is pinned to (through [`solve_reference`]).
+fn prune_and_connect_reference(
+    instance: &Instance,
+    ascent: DualAscent,
+) -> (Solution, DualSolution) {
     let alpha = &ascent.alpha;
 
     // Contributor sets: beta_ij > 0 iff alpha_j > c_ij (standard
@@ -564,32 +715,9 @@ fn prune_and_connect(instance: &Instance, ascent: DualAscent) -> (Solution, Dual
     }
     debug_assert!(!chosen.is_empty(), "at least one facility opens");
 
-    // Connect each client to the nearest chosen facility it is linked to;
-    // sparse instances fall back to the cheapest bundle.
-    let assignment: Vec<FacilityId> = instance
+    let assignment = instance
         .clients()
-        .map(|j| {
-            // First-win strict `<` over the id-sorted row = the
-            // `(cost, facility id)`-lexicographic minimum.
-            let mut best: Option<(u32, f64)> = None;
-            for (i, c) in instance.client_links(j).iter() {
-                if chosen.contains(&FacilityId::new(i)) && best.is_none_or(|(_, bc)| c < bc) {
-                    best = Some((i, c));
-                }
-            }
-            best.map(|(i, _)| FacilityId::new(i)).unwrap_or_else(|| {
-                instance
-                    .client_links(j)
-                    .iter()
-                    .map(|(i, c)| {
-                        let i = FacilityId::new(i);
-                        (i, c + instance.opening_cost(i).value())
-                    })
-                    .min_by(|(fa, ca), (fb, cb)| ca.total_cmp(cb).then(fa.cmp(fb)))
-                    .map(|(i, _)| i)
-                    .expect("instance invariant: every client has a link")
-            })
-        })
+        .map(|j| nearest(instance, j, |i| chosen.contains(&FacilityId::new(i as u32))))
         .collect();
     let solution =
         Solution::from_assignment(instance, assignment).expect("assignment uses existing links");

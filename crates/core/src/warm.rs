@@ -20,7 +20,9 @@
 //! * **Jain–Vazirani** — the per-client cost-sorted adjacency the
 //!   event-driven ascent reads through its tightness pointers, plus the
 //!   interleaved facility rows and opening lane (pure copies). The ascent
-//!   itself re-runs with reused scratch buffers.
+//!   and the phase-2 pruning re-run over reused scratch — the client-event
+//!   heap, the per-facility tight rows and the pruning lanes — so a warm
+//!   solve allocates only what it returns.
 //! * **Local search** — no instance-derived precompute to keep; the warm
 //!   entry point reuses one scratch arena (service caches, candidate
 //!   pricing columns) across solves, and starts from the warm greedy run

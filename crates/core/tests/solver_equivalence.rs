@@ -6,7 +6,10 @@
 //! with the retained reference code — not approximate agreement. These
 //! properties enforce that claim across the uniform-random, clustered, and
 //! line generator families: solutions, dual ratios, iteration and move
-//! counts, and costs must all compare equal as raw values.
+//! counts, and costs must all compare equal as raw values. The full JV
+//! solve (ascent plus linear pruning) is pinned to `jv::solve_reference`,
+//! and both JV paths are also driven over tie-heavy integer-cost
+//! instances, where simultaneous events are the rule.
 //!
 //! The chunked scan kernels those hot paths are built on are pinned here
 //! too, directly against their scalar reference twins, over lanes that mix
@@ -18,7 +21,10 @@ use proptest::prelude::*;
 
 use distfl_core::{greedy, jv, localsearch};
 use distfl_instance::generators::{Clustered, InstanceGenerator, LineCity, UniformRandom};
-use distfl_instance::{kernels, Instance};
+use distfl_instance::{kernels, Cost, FacilityId, Instance, InstanceBuilder, Solution};
+use distfl_lp::DualSolution;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// One instance from any of the three generator families.
 fn any_instance() -> impl Strategy<Value = Instance> {
@@ -70,6 +76,81 @@ proptest! {
         let slow = jv::dual_ascent_reference(&inst);
         prop_assert_eq!(fast.alpha, slow.alpha);
         prop_assert_eq!(fast.temp_open, slow.temp_open);
+    }
+}
+
+/// A tie-heavy instance: integer opening and link costs in `0..=3` (zero
+/// costs included), up to 12 facilities and 120 clients, at one of four
+/// link densities. Integer costs make simultaneous events the rule rather
+/// than the exception — many clients tight at one instant, facilities
+/// paid at the same instant as a tightness event, zero-cost links tight
+/// before the ascent starts — which the continuous generators almost
+/// never draw.
+fn tie_heavy_instance() -> impl Strategy<Value = Instance> {
+    (1usize..13, 1usize..121, 0u32..4, any::<u64>()).prop_map(|(m, n, density, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut opening: Vec<f64> = (0..m).map(|_| f64::from(rng.gen_range(0..=3u32))).collect();
+        // Every client keeps one guaranteed link; the others appear with
+        // probability (density + 1) / 4.
+        let rows: Vec<Vec<(usize, f64)>> = (0..n)
+            .map(|_| {
+                let must = rng.gen_range(0..m);
+                (0..m)
+                    .filter_map(|i| {
+                        let linked = i == must || rng.gen_range(0..4u32) <= density;
+                        linked.then(|| (i, f64::from(rng.gen_range(0..=3u32))))
+                    })
+                    .collect()
+            })
+            .collect();
+        if opening.iter().chain(rows.iter().flatten().map(|(_, c)| c)).all(|&c| c == 0.0) {
+            // The builder rejects an all-zero instance.
+            opening[0] = 1.0;
+        }
+        let mut b = InstanceBuilder::new();
+        let fids: Vec<FacilityId> =
+            opening.iter().map(|&f| b.add_facility(Cost::new(f).unwrap())).collect();
+        for row in rows {
+            let j = b.add_client();
+            for (i, c) in row {
+                b.link(j, fids[i], Cost::new(c).unwrap()).unwrap();
+            }
+        }
+        b.build().unwrap()
+    })
+}
+
+/// Bitwise comparison of two full JV answers: solution, then every dual.
+fn same_jv_answer(
+    fast: &(Solution, DualSolution),
+    slow: &(Solution, DualSolution),
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&fast.0, &slow.0);
+    let bits = |d: &DualSolution| d.alpha().iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(bits(&fast.1), bits(&slow.1));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn linear_pruning_matches_reference_bitwise(inst in any_instance()) {
+        same_jv_answer(&jv::solve(&inst), &jv::solve_reference(&inst))?;
+    }
+
+    #[test]
+    fn dual_ascent_matches_reference_on_tie_heavy_instances(inst in tie_heavy_instance()) {
+        let fast = jv::dual_ascent(&inst);
+        let slow = jv::dual_ascent_reference(&inst);
+        let bits = |a: &[f64]| a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&fast.alpha), bits(&slow.alpha));
+        prop_assert_eq!(fast.temp_open, slow.temp_open);
+    }
+
+    #[test]
+    fn jv_solve_matches_reference_on_tie_heavy_instances(inst in tie_heavy_instance()) {
+        same_jv_answer(&jv::solve(&inst), &jv::solve_reference(&inst))?;
     }
 }
 
