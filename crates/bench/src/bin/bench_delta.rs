@@ -18,8 +18,9 @@
 //! Emits a single JSON document (default `BENCH_8.json`). `--smoke` skips
 //! the timing and runs only the equivalence sweep (all three warm solvers
 //! over random delta schedules on a small instance) plus the allocation
-//! budgets — warm greedy on the full shape, warm JV on both shapes —
-//! exiting non-zero on any violation: the cheap CI gate. `--quick` shrinks repetitions for a fast local run.
+//! budgets — warm greedy on the full shape, warm local search and warm JV
+//! on both shapes — exiting non-zero on any violation: the cheap CI gate.
+//! `--quick` shrinks repetitions for a fast local run.
 //!
 //! Usage: `bench_delta [--smoke] [--quick] [--out PATH]`
 
@@ -53,6 +54,14 @@ const ALLOC_BUDGET: u64 = 128;
 /// checks it on two instance sizes. A scratch lane given up per event
 /// shows as hundreds.
 const JV_ALLOC_BUDGET: u64 = 16;
+
+/// Steady-state allocation budget for one warm delta+local-search cycle
+/// (apply the delta, run the warm greedy start and its polish). The
+/// candidate-pricing lanes live in the reused scratch, so only the two
+/// runs' output records allocate: a constant, checked on two instance
+/// sizes like the JV budget. A pricing lane given up per round or per
+/// solve shows as growth with the instance.
+const LS_ALLOC_BUDGET: u64 = 16;
 
 // ---- Counting allocator ----------------------------------------------
 
@@ -262,8 +271,8 @@ fn steady_allocs(
 
 /// The CI gate: warm == cold over random delta schedules for all three
 /// solvers on a small instance, plus the steady-state allocation budgets:
-/// warm greedy on the full capb shape, warm JV on both shapes. Prints
-/// what failed; returns overall success.
+/// warm greedy on the full capb shape, warm local search and warm JV on
+/// both shapes. Prints what failed; returns overall success.
 fn smoke() -> bool {
     let mut ok = true;
 
@@ -277,14 +286,31 @@ fn smoke() -> bool {
         }
     }
 
-    // Allocation budgets at the headline shape and churn; the JV budget
-    // also holds on the small shape, so it cannot scale with size.
+    // Allocation budgets at the headline shape and churn; the local-search
+    // and JV budgets also hold on the small shape, so they cannot scale
+    // with size.
     let base = UniformRandom::new(100, 1000).unwrap().generate(5).unwrap();
     let steady = steady_allocs(&base, |warm, inst| warm.solve_greedy(inst).iterations as usize);
     eprintln!("steady-state warm greedy cycle: {steady} allocation events (budget {ALLOC_BUDGET})");
     if steady > ALLOC_BUDGET {
         eprintln!("smoke FAILED: allocs per delta {steady} exceeds budget {ALLOC_BUDGET}");
         ok = false;
+    }
+    for inst in [&small, &base] {
+        let steady = steady_allocs(inst, |warm, inst| {
+            warm.solve_local_search(inst, LS_MOVES).moves as usize
+        });
+        eprintln!(
+            "steady-state warm local-search cycle, {}x{}: {steady} allocation events (budget {LS_ALLOC_BUDGET})",
+            inst.num_facilities(),
+            inst.num_clients()
+        );
+        if steady > LS_ALLOC_BUDGET {
+            eprintln!(
+                "smoke FAILED: local-search allocs per delta {steady} exceeds budget {LS_ALLOC_BUDGET}"
+            );
+            ok = false;
+        }
     }
     for inst in [&small, &base] {
         let steady = steady_allocs(inst, |warm, inst| warm.solve_jv(inst).0.num_open());

@@ -226,7 +226,7 @@ pub(crate) struct JvScratch {
 
 /// Clears `lane` and refills it with `len` copies of `value`, keeping its
 /// allocation.
-fn refill<T: Clone>(lane: &mut Vec<T>, len: usize, value: T) {
+pub(crate) fn refill<T: Clone>(lane: &mut Vec<T>, len: usize, value: T) {
     lane.clear();
     lane.resize(len, value);
 }

@@ -17,27 +17,57 @@
 //! keep the two regimes separate for honesty; this module is the bridge
 //! for users who want final quality.
 //!
-//! # Cached assignment costs
+//! # Sparse gains, exact decisions
 //!
-//! [`optimize`] keeps, per client, the best and second-best service costs
-//! over the *currently* open facilities, as dense `f64`/`u32` lanes. Each
-//! round hoists the per-candidate work: every closed facility `b` gets a
-//! dense `add_min` column (its link costs scattered over `+inf`), and the
-//! assignment part of every add/drop/swap candidate is then one
-//! branchless chunked pass over the caches ([`kernels::assign_sum_add`] /
-//! [`kernels::assign_sum_drop`] / [`kernels::assign_sum_swap`]) — adding
-//! `b` takes the per-client min with its column (`min(x, +inf) = x`
-//! covers unlinked clients exactly), dropping `a` falls back to the
-//! second-best where `a` holds the best. A candidate is therefore
-//! O(n + m) with no per-candidate scatter, instead of the naive
-//! O(Σ_j deg j) full rescan. The per-client minimum of a set of `f64`s is
-//! the same value no matter how it is computed, and every candidate sums
-//! those minima in the same (ascending client, then ascending facility)
-//! order as the full rescan, so every candidate cost — and hence the
-//! best-move selection sequence — is bit-identical to
-//! [`optimize_reference`].
+//! [`optimize`] keeps, per client `j`, the best service cost `b_j` over
+//! the *currently* open facilities, the facility `f_j` holding it, and
+//! the best value `s_j` with `f_j` excluded (`+inf` if `j` has one open
+//! link). One walk over the client rows per round (fused with the cache
+//! rebuild) accumulates sparse gain lanes in the style of
+//! Resende–Werneck:
+//!
+//! * `gain_add[b] += c_bj − b_j` for closed `b` with `c_bj < b_j`;
+//! * `loss[a] += s_j − b_j` for `a = f_j`;
+//! * `extra[a][b] += max(c_bj, b_j) − s_j` for closed `b` with
+//!   `c_bj < s_j`.
+//!
+//! A candidate's approximate cost is then
+//! `Σb + gain_add[b] + loss[a] + extra[a][b] + opening` (terms absent for
+//! adds and drops), O(1) each, so pricing the whole neighborhood costs
+//! O(links + |open|·|closed|) instead of O(n) per candidate. A client
+//! with `s_j = +inf` never enters infinite arithmetic: it counts in
+//! `uncovered[a]` (and takes `b_j` in place of `s_j` above), and in
+//! `covered[a][b]` for each closed `b` it links to. A drop is infeasible
+//! iff `uncovered[a] > 0`, a swap iff `covered[a][b] ≠ uncovered[a]` —
+//! exactly the candidates whose exact sum is `+inf`. The per-pair lanes
+//! are indexed by open rank × closed rank, at most `m²/4` cells.
+//!
+//! The approximations only *shortlist*. Every approximate and every exact
+//! candidate cost is a floating-point sum over at most `K = n + m + 8`
+//! additions of terms whose magnitudes total at most `2M + R`, where
+//! `M = Σb + Σ_{finite} s + Σ_i f_i` and `R` is the candidate's true
+//! cost; so each differs from `R` by at most `γ_K·(2M + R)`, and
+//! `γ_K ≤ 2Ku` for any `K ≤ 2^52`. The reference winner `w` and the approximate minimum
+//! both have `R ≤ 1.03·M` (the winner undercuts the current cost, which
+//! is at most `(1 + γ_K)·M`), hence `|A − E| ≤ 4.1·γ_K·M` for both, and
+//! `ε = 16·K·u·M` bounds it with room for the rounding of `ε` itself.
+//! Every candidate with `A ≤ min(A_min + 2ε, current − 1e-9 + ε)` is then
+//! priced exactly with the unchanged [`kernels::assign_sum_add`] /
+//! [`kernels::assign_sum_drop`] / [`kernels::assign_sum_swap`] passes and
+//! fed to the unchanged first-strict-minimum selection in the reference
+//! enumeration order. `w` always passes the cut (`A_w ≤ E_w + ε`, and
+//! `E_w` is at most both `E` of the approximate minimum and
+//! `current − 1e-9`), and a candidate the cut drops is strictly worse
+//! than `w` or not improving at all, so the selection — and every cost —
+//! is bit-identical to [`optimize_reference`]: the kernels sum the same
+//! per-client minima in the same (ascending client, then ascending
+//! facility) order as the full rescan. When `ε` or an approximation is
+//! not finite (costs near `f64::MAX`), every feasible candidate is
+//! priced exactly.
 
 use distfl_instance::{kernels, FacilityId, Instance, Solution};
+
+use crate::jv::refill;
 
 /// Outcome of a local-search run.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,8 +116,9 @@ fn open_set_cost(instance: &Instance, open: &[bool]) -> Option<f64> {
 
 /// Per-client service-cost caches over the currently open set: the best
 /// open facility (by cost, first link wins ties) and the best value with
-/// that facility excluded. Dense SoA lanes so the candidate-pricing
-/// kernels scan them directly.
+/// that facility excluded. Dense SoA lanes so the exact-pricing kernels
+/// scan them directly.
+#[derive(Default)]
 struct ServiceCache {
     best_cost: Vec<f64>,
     best_fac: Vec<u32>,
@@ -95,39 +126,122 @@ struct ServiceCache {
 }
 
 impl ServiceCache {
-    fn new(n: usize) -> Self {
-        ServiceCache {
-            best_cost: vec![f64::INFINITY; n],
-            best_fac: vec![u32::MAX; n],
-            second_cost: vec![f64::INFINITY; n],
-        }
-    }
-
     fn resize(&mut self, n: usize) {
         self.best_cost.resize(n, f64::INFINITY);
         self.best_fac.resize(n, u32::MAX);
         self.second_cost.resize(n, f64::INFINITY);
     }
+}
 
-    fn rebuild(&mut self, instance: &Instance, open: &[bool]) {
-        for j in instance.clients() {
-            let (mut b1, mut bf, mut b2) = (f64::INFINITY, u32::MAX, f64::INFINITY);
-            for (i, c) in instance.client_links(j).iter() {
-                if !open[i as usize] {
-                    continue;
-                }
-                if c < b1 {
-                    b2 = b1;
-                    b1 = c;
-                    bf = i;
-                } else if c < b2 {
-                    b2 = c;
-                }
-            }
-            self.best_cost[j.index()] = b1;
-            self.best_fac[j.index()] = bf;
-            self.second_cost[j.index()] = b2;
+/// One round's sparse gain lanes (see the module docs). Only shortlist
+/// input: their summation order is free.
+#[derive(Default)]
+struct Gains {
+    /// Each facility's rank among the open facilities if it is open,
+    /// among the closed ones otherwise (ascending id).
+    rank: Vec<u32>,
+    /// The closed facilities, ascending.
+    closed: Vec<u32>,
+    /// Per closed `b`: `Σ (c_bj − b_j)` over the clients it would win.
+    gain_add: Vec<f64>,
+    /// Per open `a`: `Σ (s_j − b_j)` over its clients with finite `s_j`.
+    loss: Vec<f64>,
+    /// Per open `a`: its clients with no other open link.
+    uncovered: Vec<u32>,
+    /// `extra[a][b]` at `rank[a] · closed.len() + rank[b]`.
+    extra: Vec<f64>,
+    /// `covered[a][b]`, indexed like `extra`.
+    covered: Vec<u32>,
+    /// `Σ s_j` over the finite second-best costs, for the shortlist bound.
+    second_sum: f64,
+}
+
+/// Rebuilds the service caches for `open` and, in the same walk over the
+/// client rows, the round's gain lanes.
+fn refresh(instance: &Instance, open: &[bool], cache: &mut ServiceCache, g: &mut Gains) {
+    let m = open.len();
+    refill(&mut g.rank, m, 0);
+    g.closed.clear();
+    let mut open_rank = 0u32;
+    for (i, &is_open) in open.iter().enumerate() {
+        if is_open {
+            g.rank[i] = open_rank;
+            open_rank += 1;
+        } else {
+            g.rank[i] = g.closed.len() as u32;
+            g.closed.push(i as u32);
         }
+    }
+    let q = g.closed.len();
+    refill(&mut g.gain_add, m, 0.0);
+    refill(&mut g.loss, m, 0.0);
+    refill(&mut g.uncovered, m, 0);
+    refill(&mut g.extra, open_rank as usize * q, 0.0);
+    refill(&mut g.covered, open_rank as usize * q, 0);
+    g.second_sum = 0.0;
+    for j in instance.clients() {
+        let row = instance.client_links(j);
+        let (mut b1, mut bf, mut b2) = (f64::INFINITY, u32::MAX, f64::INFINITY);
+        for (i, c) in row.iter() {
+            if !open[i as usize] {
+                continue;
+            }
+            if c < b1 {
+                b2 = b1;
+                b1 = c;
+                bf = i;
+            } else if c < b2 {
+                b2 = c;
+            }
+        }
+        cache.best_cost[j.index()] = b1;
+        cache.best_fac[j.index()] = bf;
+        cache.second_cost[j.index()] = b2;
+
+        let a = bf as usize;
+        let uncovered = b2 == f64::INFINITY;
+        // An uncovered client takes `b_j` in place of `s_j`: its drop is
+        // counted, not summed, and a covering swap pays `c_bj − b_j`.
+        let s = if uncovered {
+            g.uncovered[a] += 1;
+            b1
+        } else {
+            g.loss[a] += b2 - b1;
+            g.second_sum += b2;
+            b2
+        };
+        let base = g.rank[a] as usize * q;
+        for (i, c) in row.iter() {
+            let i = i as usize;
+            if open[i] {
+                continue;
+            }
+            if c < b1 {
+                g.gain_add[i] += c - b1;
+            }
+            if c < b2 {
+                let k = base + g.rank[i] as usize;
+                g.extra[k] += c.max(b1) - s;
+                g.covered[k] += u32::from(uncovered);
+            }
+        }
+    }
+}
+
+/// Points the dense add column at closed facility `b`: its link costs
+/// over `+inf`. Only the previous column's links are reset, so a switch
+/// costs O(deg) and the lane stays `+inf` everywhere else.
+fn load_column(instance: &Instance, add_min: &mut [f64], col: &mut Option<usize>, b: usize) {
+    if *col == Some(b) {
+        return;
+    }
+    if let Some(old) = col.replace(b) {
+        for &j in instance.facility_links(FacilityId::new(old as u32)).ids {
+            add_min[j as usize] = f64::INFINITY;
+        }
+    }
+    for (j, c) in instance.facility_links(FacilityId::new(b as u32)).iter() {
+        add_min[j as usize] = c;
     }
 }
 
@@ -152,27 +266,24 @@ fn opening_part(open: &[bool], f_cost: &[f64], drop: Option<usize>, add: Option<
 }
 
 /// Reusable buffers for [`optimize_with`]: the cost/open lanes, the
-/// per-client service caches, and the per-round candidate-pricing
-/// columns. Every lane is either refilled from the instance on entry or
-/// written before it is read within a round (the add column is refilled
-/// per closed facility; drop/add/swap sums are only read for the
-/// open/closed pattern that just wrote them), so values left over from an
+/// per-client service caches, the per-round gain lanes and the dense add
+/// column. Every lane is either refilled from the instance on entry or
+/// rewritten each round before it is read, so values left over from an
 /// earlier run — even of a different instance — are never observed.
 #[derive(Default)]
 pub(crate) struct LsScratch {
     f_cost: Vec<f64>,
     open: Vec<bool>,
-    cache: Option<ServiceCache>,
+    cache: ServiceCache,
+    gains: Gains,
     add_min: Vec<f64>,
-    add_assign: Vec<f64>,
-    drop_assign: Vec<f64>,
-    swap_assign: Vec<f64>,
 }
 
 /// Runs best-improvement local search from `start`, with an iteration cap.
 ///
-/// Evaluates candidates through the per-client `ServiceCache`; produces
-/// the exact move sequence and costs of [`optimize_reference`].
+/// Shortlists candidates through the sparse gain lanes and prices the
+/// shortlist exactly; produces the exact move sequence and costs of
+/// [`optimize_reference`].
 ///
 /// # Panics
 ///
@@ -194,91 +305,125 @@ pub(crate) fn optimize_with(
     start.check_feasible(instance).expect("local search needs a feasible start");
     let n = instance.num_clients();
     let m = instance.num_facilities();
-    let f_cost = &mut scratch.f_cost;
+    let LsScratch { f_cost, open, cache, gains: g, add_min } = scratch;
     f_cost.clear();
     f_cost.extend(instance.facilities().map(|i| instance.opening_cost(i).value()));
-    let open = &mut scratch.open;
     open.clear();
     open.extend(instance.facilities().map(|i| start.is_open(i)));
     let initial_cost = start.cost(instance).value();
-    let cache = scratch.cache.get_or_insert_with(|| ServiceCache::new(n));
     cache.resize(n);
-    cache.rebuild(instance, open);
-    // Round-scoped buffers: the dense add column for one closed facility,
-    // and the precomputed assignment sums per candidate.
-    let add_min = &mut scratch.add_min;
-    add_min.resize(n, f64::INFINITY);
-    let add_assign = &mut scratch.add_assign;
-    add_assign.resize(m, f64::INFINITY);
-    let drop_assign = &mut scratch.drop_assign;
-    drop_assign.resize(m, f64::INFINITY);
-    let swap_assign = &mut scratch.swap_assign;
-    swap_assign.resize(m * m, f64::INFINITY);
-    // The optimal reassignment may already beat the given assignment.
+    // Sized once for any open/closed split, so rounds never regrow them.
+    let cells = (m / 2) * (m - m / 2);
+    g.closed.clear();
+    g.closed.reserve(m);
+    g.extra.clear();
+    g.extra.reserve(cells);
+    g.covered.clear();
+    g.covered.reserve(cells);
+    refresh(instance, open, cache, g);
+    // The exact-pricing add column, and the facility it holds.
+    refill(add_min, n, f64::INFINITY);
+    let mut col = None;
+    // The shortlist bound's constant part: ε = 16·K·u·M with u = EPSILON/2.
+    let f_total: f64 = f_cost.iter().sum();
+    let eps_per_mass = 8.0 * (n + m + 8) as f64 * f64::EPSILON;
+    // The optimal reassignment may already beat the given assignment. A
+    // start whose total overflows to `+inf` is still feasible: every
+    // finite candidate improves on it, as in the reference, and the bound
+    // is then infinite, so every candidate is priced.
     let mut current =
         kernels::assign_sum(&cache.best_cost) + opening_part(open, f_cost, None, None);
-    assert!(current.is_finite(), "feasible start");
     let mut moves = 0;
+    let mut priced = 0u64;
     let mut converged = false;
 
     while moves < max_moves {
-        // Phase 1: assignment sums for every candidate, one chunked
-        // branchless pass each. Each closed facility's dense `add_min`
-        // column (link costs over `+inf`) is built once and shared by its
-        // add and all its swap candidates — the per-candidate stamping
-        // this replaces dominated the round.
-        for a in 0..m {
-            if open[a] {
-                drop_assign[a] = kernels::assign_sum_drop(
+        let q = g.closed.len();
+        let sum_b = kernels::assign_sum(&cache.best_cost);
+        let open_sum = opening_part(open, f_cost, None, None);
+        let eps = eps_per_mass * (sum_b + g.second_sum + f_total);
+
+        // Phase 1: approximate cost of every feasible candidate, written
+        // over its own gain cell (swaps before the drop and adds that
+        // share their inputs), with the minimum and a finiteness check.
+        let mut a_min = f64::INFINITY;
+        let mut finite = eps.is_finite();
+        let mut note = |approx: f64| {
+            a_min = a_min.min(approx);
+            finite &= approx.is_finite();
+        };
+        for a in (0..m).filter(|&a| open[a]) {
+            let base = sum_b + g.loss[a];
+            let without_a = open_sum - f_cost[a];
+            let row = g.rank[a] as usize * q;
+            for (rb, &b) in g.closed.iter().enumerate() {
+                let k = row + rb;
+                if g.covered[k] == g.uncovered[a] {
+                    g.extra[k] = base
+                        + g.gain_add[b as usize]
+                        + g.extra[k]
+                        + (without_a + f_cost[b as usize]);
+                    note(g.extra[k]);
+                }
+            }
+            if g.uncovered[a] == 0 {
+                g.loss[a] = base + without_a;
+                note(g.loss[a]);
+            }
+        }
+        for &b in &g.closed {
+            let b = b as usize;
+            g.gain_add[b] = sum_b + g.gain_add[b] + (open_sum + f_cost[b]);
+            note(g.gain_add[b]);
+        }
+        let cut = (a_min + 2.0 * eps).min(current - 1e-9 + eps);
+        let shortlisted = |approx: f64| !finite || approx <= cut;
+
+        // Phase 2: exact pricing of the shortlist and the unchanged
+        // selection scan, in the reference enumeration order. Infeasible
+        // candidates (by the coverage counts) are skipped, exactly as the
+        // rescan skips its `None`.
+        let mut best: Option<(Option<usize>, Option<usize>, f64)> = None;
+        let mut consider = |drop: Option<usize>, add: Option<usize>, assign: f64| {
+            priced += 1;
+            let cost = assign + opening_part(open, f_cost, drop, add);
+            if cost < current - 1e-9 && best.as_ref().is_none_or(|(_, _, b)| cost < *b) {
+                best = Some((drop, add, cost));
+            }
+        };
+        for (a, &is_open) in open.iter().enumerate() {
+            if !is_open {
+                // Add.
+                if shortlisted(g.gain_add[a]) {
+                    load_column(instance, add_min, &mut col, a);
+                    consider(None, Some(a), kernels::assign_sum_add(&cache.best_cost, add_min));
+                }
+                continue;
+            }
+            // Drop.
+            if g.uncovered[a] == 0 && shortlisted(g.loss[a]) {
+                let assign = kernels::assign_sum_drop(
                     &cache.best_cost,
                     &cache.best_fac,
                     &cache.second_cost,
                     a as u32,
                 );
+                consider(Some(a), None, assign);
             }
-        }
-        for b in 0..m {
-            if open[b] {
-                continue;
-            }
-            add_min.fill(f64::INFINITY);
-            for (j, c) in instance.facility_links(FacilityId::new(b as u32)).iter() {
-                add_min[j as usize] = c;
-            }
-            add_assign[b] = kernels::assign_sum_add(&cache.best_cost, add_min);
-            for a in 0..m {
-                if open[a] {
-                    swap_assign[a * m + b] = kernels::assign_sum_swap(
+            // Swap a -> b.
+            let row = g.rank[a] as usize * q;
+            for (rb, &b) in g.closed.iter().enumerate() {
+                let k = row + rb;
+                if g.covered[k] == g.uncovered[a] && shortlisted(g.extra[k]) {
+                    load_column(instance, add_min, &mut col, b as usize);
+                    let assign = kernels::assign_sum_swap(
                         &cache.best_cost,
                         &cache.best_fac,
                         &cache.second_cost,
                         a as u32,
                         add_min,
                     );
-                }
-            }
-        }
-
-        // Phase 2: selection scan in the reference enumeration order. An
-        // infeasible candidate sums to `+inf` and fails the improvement
-        // test, exactly as the rescan's `None` is skipped.
-        let mut best: Option<(Option<usize>, Option<usize>, f64)> = None;
-        let mut consider = |drop: Option<usize>, add: Option<usize>, assign: f64| {
-            let cost = assign + opening_part(open, f_cost, drop, add);
-            if cost < current - 1e-9 && best.as_ref().is_none_or(|(_, _, b)| cost < *b) {
-                best = Some((drop, add, cost));
-            }
-        };
-        for a in 0..m {
-            if !open[a] {
-                // Add.
-                consider(None, Some(a), add_assign[a]);
-            } else {
-                // Drop.
-                consider(Some(a), None, drop_assign[a]);
-                // Swap a -> b.
-                for b in (0..m).filter(|&b| !open[b]) {
-                    consider(Some(a), Some(b), swap_assign[a * m + b]);
+                    consider(Some(a), Some(b as usize), assign);
                 }
             }
         }
@@ -292,7 +437,7 @@ pub(crate) fn optimize_with(
                 }
                 current = cost;
                 moves += 1;
-                cache.rebuild(instance, open);
+                refresh(instance, open, cache, g);
             }
             None => {
                 converged = true;
@@ -302,6 +447,7 @@ pub(crate) fn optimize_with(
     }
 
     distfl_obs::counter("solver.localsearch.moves").add(u64::from(moves));
+    distfl_obs::counter("solver.localsearch.priced").add(priced);
     finish(instance, open.clone(), initial_cost, moves, converged)
 }
 
@@ -360,8 +506,8 @@ pub fn optimize_reference(instance: &Instance, start: &Solution, max_moves: u32)
                 }
             }
         };
-        for a in 0..m {
-            if !open[a] {
+        for (a, &is_open) in open.iter().enumerate() {
+            if !is_open {
                 // Add.
                 let mut cand = open.clone();
                 cand[a] = true;
@@ -404,6 +550,7 @@ mod tests {
     use crate::paydual::{PayDual, PayDualParams};
     use crate::runner::FlAlgorithm;
     use distfl_instance::generators::{Euclidean, InstanceGenerator, UniformRandom};
+    use distfl_instance::{Cost, InstanceBuilder};
     use distfl_lp::exact;
 
     #[test]
@@ -457,6 +604,31 @@ mod tests {
         let all_open = Solution::new(&inst, vec![true; 8], assignment).unwrap();
         let run = optimize(&inst, &all_open, 1);
         assert!(run.moves <= 1);
+    }
+
+    #[test]
+    fn overflowing_gains_fall_back_to_exact_pricing() {
+        // Facility A (cost 10) serves both clients at 1 with a second
+        // choice C at 1.7e308; closed B would serve them at 0.5. The
+        // winning swap A -> B sums `loss[A] = +inf` with
+        // `extra[A][B] = -inf`: its approximation is NaN, and only the
+        // fallback (the bound is infinite too) prices it.
+        let mut b = InstanceBuilder::new();
+        let fa = b.add_facility(Cost::new(10.0).unwrap());
+        let fb = b.add_facility(Cost::new(0.0).unwrap());
+        let fc = b.add_facility(Cost::new(0.0).unwrap());
+        for _ in 0..2 {
+            let j = b.add_client();
+            b.link(j, fa, Cost::new(1.0).unwrap()).unwrap();
+            b.link(j, fb, Cost::new(0.5).unwrap()).unwrap();
+            b.link(j, fc, Cost::new(1.7e308).unwrap()).unwrap();
+        }
+        let inst = b.build().unwrap();
+        let start = Solution::new(&inst, vec![true, false, true], vec![fa, fa]).unwrap();
+        let run = optimize(&inst, &start, 10);
+        assert_eq!(run, optimize_reference(&inst, &start, 10));
+        assert_eq!(run.moves, 1);
+        assert!(run.solution.is_open(fb) && !run.solution.is_open(fa));
     }
 
     #[test]

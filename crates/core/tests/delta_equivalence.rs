@@ -143,6 +143,29 @@ proptest! {
     }
 
     #[test]
+    fn warm_local_search_matches_reference_after_delta_schedules(
+        base in any_instance(),
+        seed in any::<u64>(),
+        batches in 1usize..4,
+    ) {
+        // A solve on the base instance first, so the scratch lanes the
+        // mutated instance's solve reuses are stale, and sized for another
+        // shape.
+        let mut inst = base.clone();
+        let mut warm = WarmCache::new(&inst);
+        warm.solve_local_search(&inst, LS_MAX_MOVES);
+        churn(&mut inst, &mut warm, seed, batches);
+        let w = warm.solve_local_search(&inst, LS_MAX_MOVES);
+        let (start, _) = greedy::solve(&inst);
+        let r = localsearch::optimize_reference(&inst, &start, LS_MAX_MOVES);
+        prop_assert_eq!(&w.solution, &r.solution);
+        prop_assert_eq!(w.initial_cost.to_bits(), r.initial_cost.to_bits());
+        prop_assert_eq!(w.final_cost.to_bits(), r.final_cost.to_bits());
+        prop_assert_eq!(w.moves, r.moves);
+        prop_assert_eq!(w.converged, r.converged);
+    }
+
+    #[test]
     fn warm_jv_is_bit_identical_after_delta_schedules(
         base in any_instance(),
         seed in any::<u64>(),

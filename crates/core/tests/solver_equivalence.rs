@@ -303,3 +303,79 @@ proptest! {
         );
     }
 }
+
+/// The all-open start: every facility open, every client on its cheapest
+/// link. Far from any local optimum, so local search makes many drop and
+/// swap moves instead of the greedy start's usual zero or one.
+fn all_open_start(inst: &Instance) -> Solution {
+    let assignment = inst.clients().map(|j| inst.cheapest_link(j).0).collect();
+    Solution::new(inst, vec![true; inst.num_facilities()], assignment).unwrap()
+}
+
+/// A near-overflow cost: tiny, regular, huge (1e300..1e306) or within a
+/// factor of ten of `f64::MAX`.
+fn near_overflow_cost(rng: &mut StdRng) -> f64 {
+    match rng.gen_range(0..4u32) {
+        0 => rng.gen_range(0.0..1.0),
+        1 => rng.gen_range(0.0..100.0),
+        2 => 10f64.powf(rng.gen_range(300.0..306.0)),
+        _ => rng.gen_range(1.5e307..1.7e308),
+    }
+}
+
+/// An instance mixing huge and small costs, up to 8 facilities and 30
+/// clients at one of four link densities. Second-best and total costs
+/// overflow to `+inf` on many draws, so the shortlist bound is not finite
+/// and local search must fall back to pricing every candidate; some
+/// starts cost `+inf` themselves.
+fn near_overflow_instance() -> impl Strategy<Value = Instance> {
+    (1usize..9, 1usize..31, 0u32..4, any::<u64>()).prop_map(|(m, n, density, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = InstanceBuilder::new();
+        let fids: Vec<FacilityId> = (0..m)
+            .map(|_| b.add_facility(Cost::new(near_overflow_cost(&mut rng)).unwrap()))
+            .collect();
+        for _ in 0..n {
+            let j = b.add_client();
+            let must = rng.gen_range(0..m);
+            for (i, &fid) in fids.iter().enumerate() {
+                if i == must || rng.gen_range(0..4u32) <= density {
+                    b.link(j, fid, Cost::new(near_overflow_cost(&mut rng)).unwrap()).unwrap();
+                }
+            }
+        }
+        b.build().unwrap()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn cached_local_search_matches_reference_from_all_open(inst in any_instance()) {
+        let start = all_open_start(&inst);
+        let fast = localsearch::optimize(&inst, &start, 100);
+        let slow = localsearch::optimize_reference(&inst, &start, 100);
+        prop_assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn cached_local_search_matches_reference_on_tie_heavy_instances(
+        inst in tie_heavy_instance(),
+    ) {
+        for start in [greedy::solve(&inst).0, all_open_start(&inst)] {
+            let fast = localsearch::optimize(&inst, &start, 100);
+            let slow = localsearch::optimize_reference(&inst, &start, 100);
+            prop_assert_eq!(fast, slow);
+        }
+    }
+
+    #[test]
+    fn cached_local_search_matches_reference_near_overflow(inst in near_overflow_instance()) {
+        for start in [greedy::solve(&inst).0, all_open_start(&inst)] {
+            let fast = localsearch::optimize(&inst, &start, 100);
+            let slow = localsearch::optimize_reference(&inst, &start, 100);
+            prop_assert_eq!(fast, slow);
+        }
+    }
+}
