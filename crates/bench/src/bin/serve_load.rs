@@ -15,9 +15,12 @@
 //! - **Heavy closed-loop mix** — the BENCH_5-comparable run: 64 blocking
 //!   clients × 6 solver-bound requests cycling all four wire solvers
 //!   over inline and OR-Library payloads. Reports throughput, latency
-//!   percentiles, the **true mean scheduler batch size**
-//!   (`serve.requests / serve.batches` — the configured cap is reported
-//!   separately as `max_batch`), and pipelining/byte counters.
+//!   percentiles, the mean dispatch size (`serve.requests /
+//!   serve.batches`; the configured cap is reported separately as
+//!   `max_batch`), and pipelining/byte counters. Shard lanes dispatch one
+//!   request at a time, so `serve.batches` counts requests and the "mean
+//!   batch" reads 1.0 by construction (slightly above when control lines
+//!   such as `ping` count as requests but never reach a lane).
 //! - **Determinism replay** — the same mix against a restarted server, a
 //!   different worker count, and different shard counts; every response
 //!   line must be byte-identical.
@@ -294,13 +297,13 @@ struct RunResult {
     latencies: Vec<u64>,
     responses: BTreeMap<String, String>,
     wall_secs: f64,
-    /// `serve.requests / serve.batches` — the batch size the scheduler
-    /// actually achieved (NOT the configured cap).
+    /// `serve.requests / serve.batches` — requests per lane dispatch
+    /// (NOT the configured cap; 1.0 by construction with lanes).
     mean_batch: f64,
 }
 
 /// One closed-loop run: blocking clients released together by a barrier
-/// so admissions burst and the schedulers actually batch.
+/// so admissions burst and every lane stays busy.
 fn run_closed_loop(plan: &Plan, mix: &[Vec<String>]) -> RunResult {
     distfl_obs::metrics_reset();
     let config = ServeConfig {

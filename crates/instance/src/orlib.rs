@@ -90,7 +90,9 @@ pub fn from_str(text: &str) -> Result<Instance, InstanceError> {
     }
 
     let mut builder = InstanceBuilder::new();
-    let mut fids = Vec::with_capacity(m);
+    // Each facility takes two tokens, so a header count past what the
+    // text can hold must not size an allocation.
+    let mut fids = Vec::with_capacity(m.min(text.len() / 2));
     for _ in 0..m {
         let _capacity = next_f64("capacity")?;
         let opening = next_f64("opening cost")?;
@@ -176,6 +178,18 @@ mod tests {
                 assert!(reason.contains("end of input"), "{reason}");
             }
             other => panic!("unexpected error {other}"),
+        }
+    }
+
+    #[test]
+    fn huge_header_counts_are_parse_errors_not_allocations() {
+        for text in ["1e18 1\n0 1\n", "1 1e18\n0 1\n0 2\n", "18446744073709551615 3\n"] {
+            match from_str(text) {
+                Err(InstanceError::Parse { reason, .. }) => {
+                    assert!(reason.contains("end of input"), "{text:?}: {reason}");
+                }
+                other => panic!("{text:?}: expected a parse error, got {other:?}"),
+            }
         }
     }
 

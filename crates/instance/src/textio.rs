@@ -100,9 +100,15 @@ pub fn from_str(text: &str) -> Result<Instance, InstanceError> {
         .into_iter()
         .map(|f| Cost::new(f).map(|c| builder.add_facility(c)))
         .collect::<Result<_, _>>()?;
-    let cids: Vec<_> = (0..n).map(|_| builder.add_client()).collect();
-
-    let mut seen = vec![false; n];
+    // Every client needs a line of its own, so only as many clients as
+    // lines remain are allocated up front; a larger `n` cannot be met and
+    // its clients past that bound are tracked sparsely, only to report
+    // the same error the lines would.
+    let lines: Vec<(usize, &str)> = lines.collect();
+    let allocated = n.min(lines.len());
+    let cids: Vec<_> = (0..allocated).map(|_| builder.add_client()).collect();
+    let mut seen = vec![false; allocated];
+    let mut seen_beyond = std::collections::HashSet::new();
     for (line_no, line) in lines {
         let mut parts = line.split_whitespace();
         if parts.next() != Some("client") {
@@ -115,7 +121,11 @@ pub fn from_str(text: &str) -> Result<Instance, InstanceError> {
         if j >= n {
             return Err(InstanceError::ClientOutOfRange { client: j, num_clients: n });
         }
-        if std::mem::replace(&mut seen[j], true) {
+        let declared = match seen.get_mut(j) {
+            Some(seen) => std::mem::replace(seen, true),
+            None => !seen_beyond.insert(j),
+        };
+        if declared {
             return Err(err(line_no, &format!("client {j} declared twice")));
         }
         let k: usize = parts
@@ -134,11 +144,23 @@ pub fn from_str(text: &str) -> Result<Instance, InstanceError> {
             if i >= m {
                 return Err(InstanceError::FacilityOutOfRange { facility: i, num_facilities: m });
             }
-            builder.link(cids[j], fids[i], Cost::new(c)?)?;
+            let cost = Cost::new(c)?;
+            if let Some(&cid) = cids.get(j) {
+                builder.link(cid, fids[i], cost)?;
+            }
         }
         if parts.next().is_some() {
             return Err(err(line_no, "trailing tokens after links"));
         }
+    }
+    if allocated < n {
+        if fids.is_empty() {
+            return Err(InstanceError::NoFacilities);
+        }
+        let client = (0..n)
+            .find(|&j| !seen.get(j).copied().unwrap_or_else(|| seen_beyond.contains(&j)))
+            .expect("fewer lines than clients leave a client without one");
+        return Err(InstanceError::UnreachableClient { client });
     }
     builder.build()
 }
@@ -246,6 +268,20 @@ opening 5
 client 0 1 0 1 extra
 ";
         assert!(from_str(text).is_err());
+    }
+
+    #[test]
+    fn huge_client_counts_are_errors_not_allocations() {
+        let header = "distfl-instance v1\nfacilities 1\nclients 18446744073709551615\nopening 5\n";
+        let text = format!("{header}client 0 1 0 1\nclient 1 1 0 2\n");
+        assert!(matches!(from_str(&text), Err(InstanceError::UnreachableClient { client: 2 })));
+        // Lines are still checked in order before the count is.
+        let text = format!("{header}client 0 1 0 1\nclient 0 1 0 2\n");
+        assert!(matches!(from_str(&text), Err(InstanceError::Parse { line: 6, .. })));
+        let text = format!("{header}client 4000000000 1 0 1\nclient 0 1 0 x\n");
+        assert!(matches!(from_str(&text), Err(InstanceError::Parse { line: 6, .. })));
+        let text = format!("{header}client 4000000000 1 0 1\nclient 4000000000 1 0 1\n");
+        assert!(matches!(from_str(&text), Err(InstanceError::Parse { line: 6, .. })));
     }
 
     #[test]

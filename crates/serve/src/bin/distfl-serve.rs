@@ -1,4 +1,4 @@
-//! The `distfl-serve` binary: run the batching solver service.
+//! The `distfl-serve` binary: run the solver service.
 //!
 //! ```text
 //! distfl-serve [ADDR] [--queue-capacity N] [--max-batch N] [--workers N]
@@ -21,9 +21,10 @@ fn usage() -> ! {
          \n\
          ADDR                listen address (default 127.0.0.1:7411)\n\
          --queue-capacity N  admission queue bound, per shard (default 256)\n\
-         --max-batch N       max requests per scheduler batch (default 16)\n\
+         --max-batch N       most requests one shard executes at once\n\
+         \x20                   (lanes; default 16, 1 = serial)\n\
          --workers N         pool workers (default: process-wide global pool)\n\
-         --shards N          admission shards / scheduler threads\n\
+         --shards N          admission shards, each with its own lanes\n\
          \x20                   (default 0 = available parallelism)\n\
          --write-buffer B    per-connection write buffer cap in bytes\n\
          \x20                   (default 262144; slow readers past it are shed)\n\

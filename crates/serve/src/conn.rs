@@ -53,7 +53,6 @@ impl WriteBuf {
     }
 
     /// Pending (unwritten) bytes.
-    #[cfg(test)]
     pub fn pending(&self) -> usize {
         self.pending
     }

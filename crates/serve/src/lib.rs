@@ -2,8 +2,9 @@
 //!
 //! The outward-facing layer of the `distfl` workspace: a TCP solver
 //! service that accepts **newline-delimited JSON** solve requests,
-//! batches them through a bounded admission queue onto the shared
-//! [`distfl_pool::WorkerPool`], and streams back deterministic responses.
+//! runs them through a bounded admission queue on lanes of the shared
+//! [`distfl_pool::WorkerPool`], and streams back deterministic responses
+//! in request order per connection.
 //!
 //! Pipeline: a readiness-driven **reactor** ([`reactor`]: epoll on
 //! Linux, poll elsewhere on Unix) owns every socket nonblocking →
@@ -11,19 +12,20 @@
 //! each read burst → [`proto`] parse → per-core **sharded admission**
 //! (the burst enters one of N [`queue::Admission`] queues as a single
 //! group; full = typed `queue_full` error, never a hang) →
-//! [`scheduler`] batch → pool workers ([`distfl_core::SolverKind`]
-//! dispatch) → bounded per-connection write buffer (overflow = the
+//! [`scheduler`] lanes on the pool workers, one request each as soon as
+//! a lane is free ([`distfl_core::SolverKind`] dispatch) → per-connection
+//! seq reorder → bounded per-connection write buffer (overflow = the
 //! client is shed with a typed `slow_reader` error, never unbounded
 //! memory). Per-request spans and the `serve.requests` /
 //! `serve.bytes_read` / `serve.bytes_written` /
 //! `serve.pipelined_requests` / `serve.reactor_wakeups` /
 //! `serve.open_connections` / `serve.queue_depth` /
-//! `serve.batch_size` metrics land in the [`distfl_obs`] registry when
-//! tracing is enabled.
+//! `serve.batch_size` / `serve.parked_responses` metrics land in the
+//! [`distfl_obs`] registry when tracing is enabled.
 //!
 //! Responses are **byte-deterministic**: for a fixed request line and
 //! seed, the response bytes are identical across server restarts, worker
-//! counts, and batch compositions. Shutdown is a **graceful drain**
+//! counts, and lane counts. Shutdown is a **graceful drain**
 //! (`{"cmd":"shutdown"}` or [`Server::shutdown`]): everything admitted
 //! is answered before the server exits.
 //!

@@ -151,10 +151,9 @@ pub enum Action {
 }
 
 impl Action {
-    /// The session this action touches, if any — the scheduler groups
-    /// same-session actions of a batch into one serial unit so a
-    /// connection's create → mutate → solve pipeline executes in
-    /// admission order.
+    /// The session this action touches, if any — the shard queue's pop
+    /// key: no two same-session actions run at once, so a connection's
+    /// create → mutate → solve pipeline executes in admission order.
     pub fn session(&self) -> Option<&str> {
         match self {
             Action::Solve { .. } => None,

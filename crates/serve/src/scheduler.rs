@@ -1,26 +1,34 @@
-//! The per-shard batching scheduler: drains one shard's admission queue
-//! in batches and fans each batch out over the shared worker pool.
+//! The per-shard lane scheduler: runs one shard's admitted requests on
+//! the shared worker pool, each as soon as a lane is free.
 //!
-//! One scheduler thread per shard. Each blocks on its own queue, takes up
-//! to `max_batch` requests at once, partitions the batch into **units** —
-//! every stateless solve is its own unit; all requests naming the same
-//! session form one unit, kept in admission order — and executes the
-//! units with [`WorkerPool::map_indexed`], so concurrent requests from
-//! independent connections share one fork/join while a connection's
-//! create → mutate → solve pipeline still runs serially against its
-//! session. The rendered responses are scattered back to admission order
-//! and go to the reactor through the batch sink (which appends them to
-//! per-connection write buffers and wakes the event loop).
+//! Each shard runs `min(max_batch, pool.parallelism())` **lanes** inside
+//! one [`WorkerPool::scope`]: the shard's own thread is lane 0, the rest
+//! are long-lived pool tasks, so they hold pool workers while the server
+//! runs. A lane pops one job ([`Admission::pop`]), executes it, releases
+//! its session key, hands the response to the sink and pops the next —
+//! there is no batch barrier, so a request never waits for an unrelated
+//! one to finish while a lane idles. The pop is keyed by
+//! [`Action::session`]: a lane takes the first queued job whose session
+//! no running lane holds, so a connection's create → mutate → solve
+//! pipeline still runs serially and in admission order against its
+//! session, and stateless solves never wait behind a busy session. With
+//! an inline pool (`workers: Some(0)`) there is one lane: the serial
+//! schedule.
 //!
-//! Batch membership, shard assignment, and reactor timing never leak into
+//! Jobs of one connection may finish out of order; each carries its
+//! per-connection `seq`, and the reactor writes responses in `seq` order
+//! (see `server.rs`).
+//!
+//! Lane count, shard assignment, and reactor timing never leak into
 //! response bytes: [`execute`] is a pure function of the request and (for
 //! session verbs) the session's request history, which is what keeps
-//! responses byte-deterministic regardless of batching, worker count, and
+//! responses byte-deterministic regardless of lanes, worker count, and
 //! shard count. Same-session requests arriving on *different*
 //! connections have no defined relative order (last-write-wins on the
 //! slab), exactly like two clients mutating one resource over any
 //! protocol.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use distfl_instance::{ClientId, Cost, DeltaBatch, FacilityId, Instance};
@@ -29,7 +37,7 @@ use distfl_pool::WorkerPool;
 use crate::proto::{
     self, Action, DeltaSpec, ErrorKind, InstanceSource, Request, ServeError, SessionShape,
 };
-use crate::queue::Admission;
+use crate::queue::{Admission, Keyed};
 use crate::session::{SessionCache, SessionState};
 
 /// One admitted request together with the way back to its client.
@@ -40,47 +48,28 @@ pub struct Job {
     /// Token of the connection that sent it (opaque to the scheduler;
     /// the reactor resolves it back to a live connection, if any).
     pub conn: u64,
+    /// The request's position among its connection's admitted requests
+    /// (dense from 0), which orders the connection's responses.
+    pub seq: u64,
 }
 
-/// Where a shard delivers its rendered batches: a callback that hands
-/// `(connection token, response line)` pairs — in admission order — back
-/// to the reactor and wakes it.
-pub type BatchSink = dyn Fn(Vec<(u64, String)>) + Send + Sync;
-
-/// Obs handles for the scheduler-side metrics.
-struct Metrics {
-    batches: distfl_obs::Counter,
-    batch_size: distfl_obs::Gauge,
-    queue_depth: distfl_obs::Gauge,
-}
-
-/// Splits a batch into execution units: stateless solves are singleton
-/// units; same-session requests collapse into one unit in admission
-/// order. Unit order follows each unit's first member, so the partition
-/// is a pure function of the batch.
-fn partition(batch: &[Job]) -> Vec<Vec<usize>> {
-    let mut units: Vec<Vec<usize>> = Vec::with_capacity(batch.len());
-    let mut session_unit: Vec<(String, usize)> = Vec::new();
-    for (index, job) in batch.iter().enumerate() {
-        match job.request.action.session() {
-            None => units.push(vec![index]),
-            Some(name) => match session_unit.iter().find(|(n, _)| n == name) {
-                Some(&(_, unit)) => units[unit].push(index),
-                None => {
-                    session_unit.push((name.to_owned(), units.len()));
-                    units.push(vec![index]);
-                }
-            },
-        }
+impl Keyed for Job {
+    fn key(&self) -> Option<&str> {
+        self.request.action.session()
     }
-    units
 }
 
-/// Runs one shard's scheduler loop until its queue is closed and drained,
-/// executing up to `max_batch` requests per fork/join.
+/// Where a lane delivers each rendered response: a callback taking
+/// `(connection token, seq, response line)` that hands it back to the
+/// reactor and wakes it.
+pub type Sink = dyn Fn(u64, u64, String) + Send + Sync;
+
+/// Runs one shard's lanes — `max_batch` clamped to
+/// `1..=pool.parallelism()` of them — until its queue is closed and
+/// drained.
 ///
-/// `batch_hook`, when present, observes each popped batch's size before
-/// it executes (see [`crate::ServeConfig::batch_hook`]).
+/// `batch_hook`, when present, is called on the lane with `1` after each
+/// pop and before the job executes (see [`crate::ServeConfig::batch_hook`]).
 ///
 /// Every popped job is answered exactly once through `sink` — the drain
 /// contract the server's graceful shutdown relies on.
@@ -90,39 +79,37 @@ pub fn run_shard(
     sessions: &Arc<SessionCache>,
     max_batch: usize,
     batch_hook: Option<&(dyn Fn(usize) + Send + Sync)>,
-    sink: &BatchSink,
+    sink: &Sink,
 ) {
-    let metrics = Metrics {
-        batches: distfl_obs::counter("serve.batches"),
-        batch_size: distfl_obs::gauge("serve.batch_size"),
-        queue_depth: distfl_obs::gauge("serve.queue_depth"),
-    };
-    loop {
-        let batch = queue.pop_batch(max_batch);
-        if batch.is_empty() {
-            return;
-        }
-        metrics.batches.incr();
-        metrics.batch_size.set(batch.len() as f64);
-        metrics.queue_depth.set(queue.depth() as f64);
-        if let Some(hook) = batch_hook {
-            hook(batch.len());
-        }
-        let units = partition(&batch);
-        let unit_responses = pool.map_indexed(units.len(), |u| {
-            units[u]
-                .iter()
-                .map(|&index| execute(&batch[index].request, sessions))
-                .collect::<Vec<String>>()
-        });
-        // Scatter unit results back to admission order.
-        let mut responses: Vec<Option<(u64, String)>> = batch.iter().map(|_| None).collect();
-        for (unit, rendered) in units.iter().zip(unit_responses) {
-            for (&index, response) in unit.iter().zip(rendered) {
-                responses[index] = Some((batch[index].conn, response));
+    let dispatches = distfl_obs::counter("serve.batches");
+    let dispatch_size = distfl_obs::gauge("serve.batch_size");
+    let queue_depth = distfl_obs::gauge("serve.queue_depth");
+    let lane = || {
+        while let Some(job) = queue.pop() {
+            dispatches.incr();
+            dispatch_size.set(1.0);
+            queue_depth.set(queue.depth() as f64);
+            if let Some(hook) = batch_hook {
+                hook(1);
             }
+            let response = execute(&job.request, sessions);
+            let (conn, seq) = (job.conn, job.seq);
+            drop(job); // frees the session key before the hand-off
+            sink(conn, seq, response);
         }
-        sink(responses.into_iter().map(|r| r.expect("every job answered")).collect());
+    };
+    let lanes = max_batch.clamp(1, pool.parallelism());
+    let mut own = Ok(());
+    pool.scope(|scope| {
+        for _ in 1..lanes {
+            scope.spawn(lane);
+        }
+        // A panic must not unwind out of the scope while the spawned
+        // lanes still borrow this frame; it resumes once they finish.
+        own = catch_unwind(AssertUnwindSafe(lane));
+    });
+    if let Err(payload) = own {
+        resume_unwind(payload);
     }
 }
 
@@ -311,15 +298,16 @@ mod tests {
         Arc::new(SessionCache::new(8))
     }
 
-    type Collected = Arc<Mutex<Vec<(u64, String)>>>;
+    type Collected = Arc<Mutex<Vec<(u64, u64, String)>>>;
 
-    /// A sink collecting every delivered (conn, response) pair in order.
-    fn collecting_sink() -> (Collected, Box<BatchSink>) {
+    /// A sink collecting every delivered (conn, seq, response) triple in
+    /// completion order.
+    fn collecting_sink() -> (Collected, Box<Sink>) {
         let collected = Arc::new(Mutex::new(Vec::new()));
         let sink = {
             let collected = Arc::clone(&collected);
-            Box::new(move |batch: Vec<(u64, String)>| {
-                collected.lock().unwrap().extend(batch);
+            Box::new(move |conn: u64, seq: u64, response: String| {
+                collected.lock().unwrap().push((conn, seq, response));
             })
         };
         (collected, sink)
@@ -335,15 +323,15 @@ mod tests {
             let pool = Arc::new(WorkerPool::new(workers));
             let sessions = cache();
             let queue = Admission::new(8);
-            for _ in 0..3 {
-                queue.push(Job { request: req.clone(), conn: 1 }).unwrap();
+            for seq in 0..3 {
+                queue.push(Job { request: req.clone(), conn: 1, seq }).unwrap();
             }
             queue.close();
             let (collected, sink) = collecting_sink();
             run_shard(&queue, &pool, &sessions, 4, None, &*sink);
             let responses = collected.lock().unwrap();
             assert_eq!(responses.len(), 3);
-            for (_, r) in responses.iter() {
+            for (_, _, r) in responses.iter() {
                 assert_eq!(r, &direct, "workers={workers}");
             }
         }
@@ -359,45 +347,60 @@ mod tests {
     }
 
     #[test]
-    fn run_shard_answers_every_job_in_admission_order() {
+    fn run_shard_answers_every_job_once_in_per_connection_seq_order() {
         let pool = Arc::new(WorkerPool::new(2));
         let sessions = cache();
         let queue = Admission::new(64);
+        // 40 jobs over 8 connections, interleaved as the reactor would
+        // admit them; seqs are dense per connection.
         for i in 0..40u64 {
             let line = format!(
                 r#"{{"id":"n{i}","solver":"greedy","instance":{{"opening":[1.0],"links":[[0,1.0]]}}}}"#
             );
-            queue.push(Job { request: request(&line), conn: i }).unwrap();
+            queue.push(Job { request: request(&line), conn: i % 8, seq: i / 8 }).unwrap();
         }
         queue.close();
         let (collected, sink) = collecting_sink();
         run_shard(&queue, &pool, &sessions, 16, None, &*sink);
         let responses = collected.lock().unwrap();
         assert_eq!(responses.len(), 40, "every admitted job answered");
-        let conns: Vec<u64> = responses.iter().map(|(c, _)| *c).collect();
-        assert_eq!(conns, (0..40).collect::<Vec<u64>>(), "admission order preserved");
+        let mut answered: Vec<(u64, u64)> = responses.iter().map(|(c, s, _)| (*c, *s)).collect();
+        answered.sort_unstable();
+        answered.dedup();
+        assert_eq!(answered.len(), 40, "each job answered exactly once");
+        for (conn, seq, response) in responses.iter() {
+            assert!(response.contains(&format!(r#""id":"n{}""#, seq * 8 + conn)), "{response}");
+        }
     }
 
     #[test]
-    fn partition_groups_same_session_jobs_in_admission_order() {
-        let jobs: Vec<Job> = [
-            r#"{"id":"a","solver":"greedy","instance":{"opening":[1.0],"links":[[0,1.0]]}}"#
-                .to_string(),
-            r#"{"cmd":"create","id":"b","session":"s1","instance":{"opening":[1.0],"links":[[0,1.0]]}}"#
-                .to_string(),
-            r#"{"cmd":"create","id":"c","session":"s2","instance":{"opening":[1.0],"links":[[0,1.0]]}}"#
-                .to_string(),
-            r#"{"cmd":"solve","id":"d","session":"s1","solver":"greedy"}"#.to_string(),
-            r#"{"id":"e","solver":"greedy","instance":{"opening":[1.0],"links":[[0,1.0]]}}"#
-                .to_string(),
-            r#"{"cmd":"drop","id":"f","session":"s1"}"#.to_string(),
-        ]
-        .iter()
-        .enumerate()
-        .map(|(i, line)| Job { request: request(line), conn: i as u64 })
-        .collect();
-        let units = partition(&jobs);
-        assert_eq!(units, vec![vec![0], vec![1, 3, 5], vec![2], vec![4]]);
+    fn same_session_jobs_run_in_admission_order_beside_stateless_ones() {
+        let pool = Arc::new(WorkerPool::new(2));
+        let sessions = cache();
+        let queue = Admission::new(64);
+        let inst = r#""instance":{"opening":[4.0,3.0],"links":[[0,1.0,1,2.0],[1,0.5]]}"#;
+        let mut lines = vec![format!(r#"{{"cmd":"create","id":"c","session":"s",{inst}}}"#)];
+        for k in 0..6 {
+            lines.push(format!(
+                r#"{{"cmd":"mutate","id":"m{k}","session":"s","delta":{{"reprice":[[0,0,{}.5]]}}}}"#,
+                k + 1
+            ));
+            lines.push(format!(r#"{{"id":"x{k}","solver":"greedy",{inst}}}"#));
+        }
+        for (seq, line) in lines.iter().enumerate() {
+            queue.push(Job { request: request(line), conn: 1, seq: seq as u64 }).unwrap();
+        }
+        queue.close();
+        let (collected, sink) = collecting_sink();
+        run_shard(&queue, &pool, &sessions, 4, None, &*sink);
+        let responses = collected.lock().unwrap();
+        assert_eq!(responses.len(), lines.len());
+        // The session's mutations applied one at a time, in order: epoch
+        // k+1 belongs to mutate m{k}.
+        for (_, _, response) in responses.iter().filter(|(_, _, r)| r.contains(r#""id":"m"#)) {
+            let k: u64 = response.split(r#""id":"m"#).nth(1).unwrap()[..1].parse().unwrap();
+            assert!(response.contains(&format!(r#""epoch":{}"#, k + 1)), "{response}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The TCP server: a readiness-driven event loop plus per-shard batching
+//! The TCP server: a readiness-driven event loop plus per-shard lane
 //! schedulers.
 //!
 //! Data flow: one **reactor thread** owns the listener and every
@@ -6,28 +6,35 @@
 //! (epoll on Linux). A readable socket is drained into a
 //! [`crate::frame::LineFramer`]; every complete NDJSON line is parsed in
 //! place and the whole burst is admitted to its connection's **shard
-//! queue as one group** ([`Admission::push_group`]) — pipelined requests
-//! never wait one scheduler tick each. Connections map to one of N shard
-//! queues by a hash of their socket id, so admission contention is spread
-//! across shards instead of a single global queue. Each shard's
-//! scheduler thread pops batches and fans them out on the shared worker
-//! pool; rendered responses come back through a completion list that
-//! wakes the reactor, which appends them to the connection's **bounded**
-//! write buffer and flushes opportunistically. A client that stops
+//! queue as one group** ([`Admission::push_group`]) — a pipelined burst
+//! costs one queue lock, not one per request. Connections map to one of
+//! N shard queues by a hash of their socket id, so admission contention
+//! is spread across shards instead of a single global queue. Each shard
+//! runs lanes on the shared worker pool, and every lane executes one admitted
+//! request as soon as it is free (see [`crate::scheduler`]). Admission
+//! stamps each request with its connection's next **seq**; rendered
+//! responses come back through a completion list, tagged `(conn, seq)`,
+//! that wakes the reactor. The reactor writes each connection's responses
+//! in seq order — a response that finished ahead of an earlier one is
+//! parked until its turn, its bytes counted against the connection's
+//! write cap — appending them to the connection's **bounded** write
+//! buffer and flushing opportunistically. A client that stops
 //! draining its socket overflows that buffer and is shed with a typed
 //! `slow_reader` error — it never stalls workers, shards, or other
 //! connections.
 //!
 //! Responses stay byte-deterministic: request execution is a pure
-//! function of the request line, so batch composition, worker count,
-//! shard count, and reactor timing never leak into response bytes.
+//! function of the request line, so lane timing, worker count, shard
+//! count, and reactor timing never leak into response bytes or their
+//! per-connection order.
 //!
 //! Shutdown (the `{"cmd":"shutdown"}` SIGTERM-equivalent, or
 //! [`Server::shutdown`]) drains rather than aborts: stop accepting,
-//! close the shard queues for admission, let the schedulers answer
+//! close the shard queues for admission, let the lanes answer
 //! everything already admitted, flush every write buffer, then close.
 //! No admitted request loses its response.
 
+use std::collections::BTreeMap;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -45,8 +52,8 @@ use crate::reactor::{self, Event, Interest, Poller, ReactorKind, Waker, WAKE_TOK
 use crate::scheduler::{self, Job};
 use crate::session::SessionCache;
 
-/// Instrumentation hook invoked with each batch's size after it is
-/// popped and before it executes (see [`ServeConfig::batch_hook`]).
+/// Instrumentation hook invoked on a lane with `1` after each pop and
+/// before the job executes (see [`ServeConfig::batch_hook`]).
 pub type BatchHook = Arc<dyn Fn(usize) + Send + Sync>;
 
 /// The reactor's reserved token for the listening socket.
@@ -74,14 +81,16 @@ pub struct ServeConfig {
     /// Bound on requests admitted but not yet executing, **per shard**.
     /// Admission beyond it returns a `queue_full` error immediately.
     pub queue_capacity: usize,
-    /// Most requests one shard fork/join executes together.
+    /// Most requests one shard executes at once: the shard runs
+    /// `min(max_batch, pool workers + 1)` lanes, each executing one
+    /// admitted request at a time. `1` (or `0`) is the serial schedule.
     pub max_batch: usize,
     /// Worker threads: `Some(n)` takes the process-wide shared pool of
     /// that size ([`WorkerPool::shared`]), `None` the global pool
     /// ([`WorkerPool::global`]) — either way the pool outlives the
     /// server and is reused by later servers and sweeps in-process.
     pub workers: Option<usize>,
-    /// Shard queues (and scheduler threads). `0` picks the machine's
+    /// Shard queues (and lane-0 threads). `0` picks the machine's
     /// available parallelism. Connections map to shards by socket-id
     /// hash; responses are byte-identical at any shard count.
     pub shards: usize,
@@ -98,9 +107,9 @@ pub struct ServeConfig {
     /// connection counts and surfaces backpressure to the user-space
     /// write buffer sooner. Unix only; ignored elsewhere.
     pub sock_send_buffer: Option<usize>,
-    /// Called on a shard's scheduler thread with each popped batch's
-    /// size, before the batch executes. A logging/telemetry point; tests
-    /// use a blocking hook to pin a scheduler at a known position.
+    /// Called on a lane with `1` after each pop, before the job executes.
+    /// A logging/telemetry point; tests use a blocking hook to pin a lane
+    /// at a known position.
     pub batch_hook: Option<BatchHook>,
     /// Most sessions pinned at once (see [`crate::session`]). Creating a
     /// new session beyond it evicts the least-recently-touched one.
@@ -144,17 +153,18 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// State shared by the reactor, the shard schedulers, and the shutdown
+/// State shared by the reactor, the shard lanes, and the shutdown
 /// path.
 struct Shared {
     /// One bounded admission queue per shard.
     queues: Vec<Arc<Admission<Job>>>,
-    /// Rendered responses on their way back to the reactor.
-    completions: Mutex<Vec<(u64, String)>>,
+    /// Rendered responses on their way back to the reactor, as
+    /// `(conn, seq, line)`.
+    completions: Mutex<Vec<(u64, u64, String)>>,
     /// Wakes the reactor (completions ready, or drain initiated).
     waker: Waker,
     draining: AtomicBool,
-    /// Shard scheduler threads still running (drain completes at 0).
+    /// Shards whose lanes are still running (drain completes at 0).
     active_shards: AtomicUsize,
     /// Session-pinned instances, shared by every shard.
     sessions: Arc<SessionCache>,
@@ -187,7 +197,7 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts the reactor and shard scheduler threads.
+    /// starts the reactor and one lane-0 thread per shard.
     ///
     /// # Errors
     ///
@@ -224,15 +234,15 @@ impl Server {
                 let shared = Arc::clone(&shared);
                 let queue = Arc::clone(&shared.queues[index]);
                 let pool = Arc::clone(&pool);
-                let max_batch = config.max_batch.max(1);
+                let max_batch = config.max_batch;
                 let hook = config.batch_hook.clone();
                 std::thread::Builder::new()
                     .name(format!("distfl-serve-shard{index}"))
                     .spawn(move || {
                         let sink = {
                             let shared = Arc::clone(&shared);
-                            move |batch: Vec<(u64, String)>| {
-                                relock(&shared.completions).extend(batch);
+                            move |conn: u64, seq: u64, line: String| {
+                                relock(&shared.completions).push((conn, seq, line));
                                 shared.waker.wake();
                             }
                         };
@@ -248,7 +258,7 @@ impl Server {
                         shared.active_shards.fetch_sub(1, Ordering::SeqCst);
                         shared.waker.wake();
                     })
-                    .expect("spawn shard scheduler thread")
+                    .expect("spawn shard lane thread")
             })
             .collect();
 
@@ -272,7 +282,7 @@ impl Server {
         self.shared.addr
     }
 
-    /// Requests admitted but not yet handed to a scheduler, summed over
+    /// Requests admitted but not yet popped by a lane, summed over
     /// shards (for tests and monitoring; the same per-shard value feeds
     /// the `serve.queue_depth` gauge).
     pub fn queue_depth(&self) -> usize {
@@ -309,8 +319,8 @@ impl Server {
         self.join_all();
     }
 
-    /// Joins shard schedulers, then the reactor (which exits only after
-    /// the schedulers finish and every response has been flushed or its
+    /// Joins the shard threads, then the reactor (which exits only after
+    /// every lane finishes and every response has been flushed or its
     /// connection shed), then releases the session cache — after the
     /// joins, so no in-flight session job ever observes a vanishing
     /// session. Idempotent.
@@ -335,6 +345,15 @@ struct Conn {
     interest: Interest,
     /// Requests admitted to a shard queue whose responses are still due.
     inflight: usize,
+    /// Seq the next admitted request gets.
+    next_seq: u64,
+    /// Seq of the next response to write.
+    next_write: u64,
+    /// Responses that finished ahead of `next_write`, by seq.
+    parked: BTreeMap<u64, String>,
+    /// Bytes (with newlines) held in `parked`; they count against the
+    /// write cap like queued bytes do.
+    parked_bytes: usize,
     /// Backpressure overflow tripped: requests ignored, responses
     /// discarded, closing once the shed error line has flushed.
     shed: bool,
@@ -363,6 +382,7 @@ struct Metrics {
     pipelined: distfl_obs::Counter,
     wakeups: distfl_obs::Counter,
     shed: distfl_obs::Counter,
+    parked: distfl_obs::Counter,
     open_conns: distfl_obs::Gauge,
     queue_depth: distfl_obs::Gauge,
 }
@@ -414,6 +434,7 @@ impl Reactor {
                 pipelined: distfl_obs::counter("serve.pipelined_requests"),
                 wakeups: distfl_obs::counter("serve.reactor_wakeups"),
                 shed: distfl_obs::counter("serve.connections_shed"),
+                parked: distfl_obs::counter("serve.parked_responses"),
                 open_conns: distfl_obs::gauge("serve.open_connections"),
                 queue_depth: distfl_obs::gauge("serve.queue_depth"),
             },
@@ -492,7 +513,7 @@ impl Reactor {
     }
 
     /// True once every response has been delivered into a write buffer
-    /// and flushed (or the linger expired): schedulers done, completion
+    /// and flushed (or the linger expired): lanes done, completion
     /// list empty, all buffers empty.
     fn drain_complete(&mut self) -> bool {
         if self.shared.active_shards.load(Ordering::SeqCst) != 0 {
@@ -556,6 +577,10 @@ impl Reactor {
             write: WriteBuf::new(self.write_cap),
             interest: Interest::READ,
             inflight: 0,
+            next_seq: 0,
+            next_write: 0,
+            parked: BTreeMap::new(),
+            parked_bytes: 0,
             shed: false,
             read_closed: false,
             linger_until: None,
@@ -687,7 +712,7 @@ impl Reactor {
             self.metrics.requests.incr();
             match out {
                 LineOut::Parsed(Parsed::Request(request)) => {
-                    group.push(Job { request: *request, conn: token });
+                    group.push(Job { request: *request, conn: token, seq: 0 });
                 }
                 LineOut::Parsed(Parsed::Command(cmd)) => {
                     // Requests sent ahead of a shutdown command on the same
@@ -713,25 +738,32 @@ impl Reactor {
     }
 
     /// Admits a pipelined group to the connection's shard queue under one
-    /// lock; refused requests get their typed error immediately.
+    /// lock, stamping each request with the connection's next seq;
+    /// refused requests get their typed error immediately.
     fn admit_group(&mut self, index: usize, group: &mut Vec<Job>) {
         if group.is_empty() {
             return;
         }
-        let batch = std::mem::take(group);
+        let mut batch = std::mem::take(group);
         let size = batch.len();
         let conn = self.slots[index].as_mut().expect("live conn");
+        for job in &mut batch {
+            job.seq = conn.next_seq;
+            conn.next_seq += 1;
+        }
         let shard = shard_of(conn.source, self.shared.queues.len());
         let queue = Arc::clone(&self.shared.queues[shard]);
         let rejected = queue.push_group(batch);
         let admitted = size - rejected.len();
+        // Refusals are a suffix of the group, so handing their seqs back
+        // keeps the connection's seqs dense.
+        conn.next_seq -= rejected.len() as u64;
+        debug_assert!(rejected.iter().all(|(job, _)| job.seq >= conn.next_seq));
+        conn.inflight += admitted;
         if size > 1 {
             self.metrics.pipelined.add(size as u64);
         }
         self.metrics.queue_depth.set(queue.depth() as f64);
-        if let Some(conn) = self.slots[index].as_mut() {
-            conn.inflight += admitted;
-        }
         for (job, reason) in rejected {
             let (kind, detail) = match reason {
                 AdmitError::Full => (
@@ -767,6 +799,8 @@ impl Reactor {
         let cap = self.write_cap;
         let Some(conn) = self.slots[index].as_mut() else { return };
         conn.shed = true;
+        conn.parked.clear();
+        conn.parked_bytes = 0;
         self.metrics.shed.incr();
         let error = ServeError {
             kind: ErrorKind::SlowReader,
@@ -779,19 +813,19 @@ impl Reactor {
     }
 
     /// Takes the completion list and routes every response to its
-    /// connection (silently dropping those whose connection is gone or
-    /// shed — undeliverable by definition).
+    /// connection in seq order (silently dropping those whose connection
+    /// is gone or shed — undeliverable by definition).
     fn apply_completions(&mut self) {
         let completed = std::mem::take(&mut *relock(&self.shared.completions));
         if completed.is_empty() {
             return;
         }
         let mut touched: Vec<usize> = Vec::new();
-        for (token, line) in completed {
+        for (token, seq, line) in completed {
             let Some(index) = self.resolve(token) else { continue };
             let conn = self.slots[index].as_mut().expect("resolved");
             conn.inflight = conn.inflight.saturating_sub(1);
-            self.append_response(index, &line);
+            self.deliver(index, seq, line);
             if !touched.contains(&index) {
                 touched.push(index);
             }
@@ -800,6 +834,36 @@ impl Reactor {
             if self.slots[index].is_some() {
                 self.maintain(index);
             }
+        }
+    }
+
+    /// Writes response `seq` if it is the connection's next due, followed
+    /// by any parked successors, and parks it otherwise. Parked bytes
+    /// count against the write cap, so a response that does not fit
+    /// beside the queued and parked ones sheds the connection.
+    fn deliver(&mut self, index: usize, seq: u64, line: String) {
+        let conn = self.slots[index].as_mut().expect("live conn");
+        if conn.shed {
+            return;
+        }
+        if conn.write.pending() + conn.parked_bytes + line.len() + 1 > self.write_cap {
+            self.shed_conn(index);
+            return;
+        }
+        if seq != conn.next_write {
+            conn.parked_bytes += line.len() + 1;
+            conn.parked.insert(seq, line);
+            self.metrics.parked.incr();
+            return;
+        }
+        let mut next = Some(line);
+        while let Some(line) = next {
+            conn.next_write += 1;
+            // Fits: the check above covered every parked byte.
+            let queued = conn.write.append_line(&line);
+            debug_assert_eq!(queued, Append::Queued);
+            next = conn.parked.remove(&conn.next_write);
+            conn.parked_bytes -= next.as_ref().map_or(0, |line| line.len() + 1);
         }
     }
 

@@ -44,8 +44,8 @@ impl SessionState {
     }
 }
 
-/// A shared handle to one session's state. Same-session requests in a
-/// batch are serialized by the scheduler; the mutex covers the remaining
+/// A shared handle to one session's state. Same-session requests on one
+/// shard are serialized by its queue's keyed pop; the mutex covers the remaining
 /// cross-shard races (two connections naming the same session).
 pub type SessionHandle = Arc<Mutex<SessionState>>;
 
@@ -181,7 +181,7 @@ impl SessionCache {
     }
 
     /// Releases every session — the shutdown drain's final step, called
-    /// after all scheduler threads have joined so no in-flight job holds
+    /// after every shard's lanes have finished so no in-flight job holds
     /// a handle.
     pub fn clear(&self) {
         let mut slab = self.slab.lock().unwrap();

@@ -533,3 +533,103 @@ fn session_verbs_on_missing_sessions_get_typed_errors() {
     assert!(client.roundtrip(GREEDY_INLINE).contains(r#""ok":true"#));
     server.shutdown();
 }
+
+#[test]
+fn orlib_header_counts_past_the_payload_are_typed_errors_not_an_abort() {
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(&server);
+    // A header claiming 10^18 facilities must not size an allocation.
+    let response = client.roundtrip(r#"{"id":"huge","solver":"greedy","orlib":"1e18 1\n0 1\n"}"#);
+    assert!(response.contains(r#""id":"huge","ok":false"#), "{response}");
+    assert!(response.contains(r#""kind":"invalid_instance""#), "{response}");
+    // The process survived and the same connection keeps solving.
+    assert!(client.roundtrip(GREEDY_INLINE).contains(r#""ok":true"#));
+    server.shutdown();
+}
+
+#[test]
+fn a_slow_request_pipelined_before_fast_ones_keeps_request_order() {
+    distfl_obs::set_enabled(true);
+    let parked = distfl_obs::counter("serve.parked_responses");
+    // A pool size no other test here uses, so every lane can start.
+    let config =
+        ServeConfig { max_batch: 2, workers: Some(4), shards: 1, ..ServeConfig::default() };
+    let server = Server::start("127.0.0.1:0", config).unwrap();
+    let mut requests = vec![paydual_orlib_request("slow", 5, 30, 300)];
+    requests.extend((0..8).map(|i| {
+        format!(
+            r#"{{"id":"f{i}","solver":"greedy","seed":{i},"instance":{{"opening":[{}.0,3.0],"links":[[0,1.0,1,2.0],[1,0.5]]}}}}"#,
+            3 + i
+        )
+    }));
+    let mut reference = Client::connect(&server);
+    let expected: Vec<String> = requests.iter().map(|r| reference.roundtrip(r)).collect();
+
+    // One write: the fast requests run on the second lane while the
+    // slow one holds the first, and their responses wait for it.
+    let before = parked.get();
+    let mut pipelined = Client::connect(&server);
+    let burst: String = requests.iter().map(|r| format!("{r}\n")).collect();
+    pipelined.writer.write_all(burst.as_bytes()).expect("burst write");
+    let got: Vec<String> = (0..requests.len()).map(|_| pipelined.recv()).collect();
+    assert_eq!(got, expected, "lanes changed response bytes or order");
+    assert!(parked.get() > before, "no response finished ahead of the slow one");
+    server.shutdown();
+}
+
+#[test]
+fn a_held_lane_does_not_block_another_connection() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Condvar, Mutex};
+
+    // The hook holds the first job it sees until the gate opens; every
+    // later job passes straight through.
+    let calls = Arc::new(AtomicUsize::new(0));
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let hook: distfl_serve::BatchHook = {
+        let calls = Arc::clone(&calls);
+        let gate = Arc::clone(&gate);
+        Arc::new(move |size| {
+            assert_eq!(size, 1, "lanes dispatch one job at a time");
+            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                let (lock, cv) = &*gate;
+                let mut open = lock.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+            }
+        })
+    };
+    let config = ServeConfig {
+        max_batch: 2,
+        workers: Some(5), // a pool size no other test here uses
+        shards: 1,        // both connections share one queue
+        batch_hook: Some(hook),
+        ..ServeConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", config).unwrap();
+    let mut held = Client::connect(&server);
+    held.send(GREEDY_INLINE);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while calls.load(Ordering::SeqCst) == 0 {
+        assert!(Instant::now() < deadline, "no lane picked up the held request");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    // A batch barrier would keep this request queued behind the held
+    // one; a free lane answers it at once.
+    let mut other = Client::connect(&server);
+    other.writer.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let response = other.roundtrip(
+        r#"{"id":"free","solver":"greedy","instance":{"opening":[1.0],"links":[[0,1.0]]}}"#,
+    );
+    assert!(response.contains(r#""id":"free","ok":true"#), "{response}");
+
+    {
+        let (lock, cv) = &*gate;
+        *lock.lock().unwrap() = true;
+        cv.notify_all();
+    }
+    assert!(held.recv().contains(r#""id":"g1","ok":true"#));
+    server.shutdown();
+}
