@@ -18,7 +18,7 @@ use distfl_instance::Instance;
 use crate::table::{num, MISSING};
 use crate::Table;
 
-use super::lower_bound_for;
+use super::greedy_dual;
 
 /// Runs E2.
 pub fn run(quick: bool) -> Vec<Table> {
@@ -70,19 +70,19 @@ pub fn run(quick: bool) -> Vec<Table> {
         let t = out.transcript.expect("distributed run");
         let strawman_out = SimulatedSeqGreedy::new().run(inst, 1).expect("strawman run");
         let strawman = strawman_out.modeled_rounds.expect("strawman models rounds");
-        // Beyond the exact limit the certified bound combines every dual
-        // certificate available (both runs produce one).
-        let lb = lower_bound_for(inst).max(
-            distfl_lp::bounds::certified_lower_bound(
-                inst,
-                &[
-                    out.dual.as_ref().expect("paydual emits a dual"),
-                    strawman_out.dual.as_ref().expect("greedy emits a dual"),
-                ],
-                super::EXACT_LIMIT,
-            )
-            .value,
-        );
+        // One certified bound over every dual certificate the row has: the
+        // greedy run's, PayDual's and the straw-man's. Up to the exact
+        // limit it is the optimum, computed once.
+        let lb = distfl_lp::bounds::certified_lower_bound(
+            inst,
+            &[
+                &greedy_dual(inst),
+                out.dual.as_ref().expect("paydual emits a dual"),
+                strawman_out.dual.as_ref().expect("greedy emits a dual"),
+            ],
+            super::EXACT_LIMIT,
+        )
+        .value;
         // The faithful straw-man protocol is executed where affordable
         // (its simulation cost is what makes it a straw-man).
         let real = if inst.num_clients() <= 400 {

@@ -15,7 +15,7 @@ pub mod figures;
 use distfl_core::greedy::StarGreedy;
 use distfl_core::FlAlgorithm;
 use distfl_instance::Instance;
-use distfl_lp::bounds;
+use distfl_lp::{bounds, DualSolution};
 
 /// The facility-count limit below which experiments use the exact optimum
 /// as the ratio denominator.
@@ -25,12 +25,17 @@ pub const EXACT_LIMIT: usize = 22;
 /// exact optimum for small facility counts, otherwise the better of the
 /// trivial bound and the greedy run's dual-fitting certificate.
 pub fn lower_bound_for(instance: &Instance) -> f64 {
-    let greedy_dual = StarGreedy::new()
+    bounds::certified_lower_bound(instance, &[&greedy_dual(instance)], EXACT_LIMIT).value
+}
+
+/// The dual-fitting certificate of the star greedy run that
+/// [`lower_bound_for`] certifies with.
+pub fn greedy_dual(instance: &Instance) -> DualSolution {
+    StarGreedy::new()
         .run(instance, 0)
         .expect("greedy cannot fail")
         .dual
-        .expect("greedy emits a dual certificate");
-    bounds::certified_lower_bound(instance, &[&greedy_dual], EXACT_LIMIT).value
+        .expect("greedy emits a dual certificate")
 }
 
 /// Runs every experiment (the `exp_all` binary).

@@ -43,7 +43,7 @@ impl JainVazirani {
         JainVazirani { tolerance: 1e-6 }
     }
 
-    /// Skips the (quadratic) metricity validation.
+    /// Skips the metricity validation.
     pub fn unchecked() -> Self {
         JainVazirani { tolerance: f64::INFINITY }
     }
@@ -730,12 +730,7 @@ impl FlAlgorithm for JainVazirani {
     }
 
     fn run(&self, instance: &Instance, _seed: u64) -> Result<Outcome, CoreError> {
-        if self.tolerance.is_finite() {
-            let defect = distfl_instance::metric::metricity_defect(instance);
-            if defect > self.tolerance {
-                return Err(CoreError::RequiresMetric { defect });
-            }
-        }
+        crate::error::require_metric(instance, self.tolerance)?;
         let (solution, dual) = solve(instance);
         Ok(Outcome { solution, transcript: None, dual: Some(dual), modeled_rounds: None })
     }

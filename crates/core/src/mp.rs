@@ -31,7 +31,7 @@ impl MettuPlaxton {
         MettuPlaxton { tolerance: 1e-6 }
     }
 
-    /// Skips the (quadratic) metricity validation — for callers that know
+    /// Skips the metricity validation — for callers that know
     /// their instances are metric.
     pub fn unchecked() -> Self {
         MettuPlaxton { tolerance: f64::INFINITY }
@@ -135,12 +135,7 @@ impl FlAlgorithm for MettuPlaxton {
     }
 
     fn run(&self, instance: &Instance, _seed: u64) -> Result<Outcome, CoreError> {
-        if self.tolerance.is_finite() {
-            let defect = distfl_instance::metric::metricity_defect(instance);
-            if defect > self.tolerance {
-                return Err(CoreError::RequiresMetric { defect });
-            }
-        }
+        crate::error::require_metric(instance, self.tolerance)?;
         Ok(Outcome::sequential(solve(instance)))
     }
 }

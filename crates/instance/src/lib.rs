@@ -19,7 +19,7 @@
 //!   spread `ρ`, sparse vs dense),
 //! * [`spread`] — the coefficient-spread quantities `ρ` and `B` that drive
 //!   the round/approximation trade-off,
-//! * [`metric`] — metricity diagnostics, and [`classify`] — the
+//! * [`metric`] — the exact `O(m²·n)` metricity check, and [`classify`] — the
 //!   deterministic instance profiler behind `SolverKind::Auto` routing,
 //! * [`textio`] — a dependency-free plain-text serialization format,
 //! * [`orlib`] — reader/writer for the OR-Library benchmark format.
