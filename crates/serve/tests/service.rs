@@ -548,6 +548,30 @@ fn orlib_header_counts_past_the_payload_are_typed_errors_not_an_abort() {
 }
 
 #[test]
+fn a_large_sparse_auto_request_is_classified_in_link_sized_memory() {
+    // 50,000 facilities and 50,000 clients, each client linked to the
+    // first facility only: about 450 KB of payload whose dense cost
+    // matrix would be 20 GB. The metricity check behind `auto` must size
+    // its scratch by the links, answer, and leave the server solving.
+    const SIDE: usize = 50_000;
+    let opening = vec!["1.0"; SIDE].join(",");
+    let links = vec!["[0,2.0]"; SIDE].join(",");
+    let request = format!(
+        r#"{{"id":"wide","solver":"auto","instance":{{"opening":[{opening}],"links":[{links}]}}}}"#
+    );
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(&server);
+    let response = client.roundtrip(&request);
+    assert!(
+        response.contains(r#""id":"wide","ok":true"#),
+        "{}",
+        &response[..response.len().min(300)]
+    );
+    assert!(client.roundtrip(GREEDY_INLINE).contains(r#""ok":true"#));
+    server.shutdown();
+}
+
+#[test]
 fn a_slow_request_pipelined_before_fast_ones_keeps_request_order() {
     distfl_obs::set_enabled(true);
     let parked = distfl_obs::counter("serve.parked_responses");
